@@ -40,14 +40,19 @@ CoreProbe probe_core(const std::vector<OraclePlan>& plans,
                       std::uint32_t, std::size_t, std::string>>
       seen;
   for (const OraclePlan& plan : plans) {
+    // Decode steps price at the oracle's KV bucket, not the raw length.
+    const serve::ServiceTimeOracle bucketing(plan.tenants, arch);
     for (const OraclePlan::Point& p : plan.points) {
       if (p.lookup == Lookup::kLayerSchedule) {
         continue;  // the schedule is built from the batch run's result
       }
       const auto& tenant = plan.tenants[p.tenant];
+      const std::uint32_t tokens = p.lookup == Lookup::kDecode
+                                       ? bucketing.kv_bucket(p.tenant, p.tokens)
+                                       : p.tokens;
       const auto key = std::make_tuple(
           tenant.model.name(), plan.tenants.size(), p.tenant,
-          static_cast<int>(p.lookup), p.batch, p.tokens,
+          static_cast<int>(p.lookup), p.batch, tokens,
           tenant.config.photonic.total_wavelengths,
           core::to_string(tenant.config.fidelity));
       if (!seen.insert(key).second) {
@@ -56,9 +61,9 @@ CoreProbe probe_core(const std::vector<OraclePlan>& plans,
       CorePoint point{tenant.config, tenant.model};
       point.config.batch_size = p.batch;
       if (p.lookup == Lookup::kPrefill) {
-        point.model = dnn::make_prefill_graph(*tenant.transformer, p.tokens);
+        point.model = dnn::make_prefill_graph(*tenant.transformer, tokens);
       } else if (p.lookup == Lookup::kDecode) {
-        point.model = dnn::make_decode_graph(*tenant.transformer, p.tokens);
+        point.model = dnn::make_decode_graph(*tenant.transformer, tokens);
       }
       points.push_back(std::move(point));
     }

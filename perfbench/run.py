@@ -44,7 +44,12 @@ FINGERPRINT_FIELDS = (
     "transfers",
 )
 BUILD_TIMEOUT_S = 840
-RUN_TIMEOUT_S = 170
+
+
+def run_timeout_s(seconds):
+    """How long stack_bench may take: its timed loop, plus the set-up, the
+    last repetition past the deadline and the traced run's layer probes."""
+    return 2 * seconds + 120
 
 
 def fail(message):
@@ -153,12 +158,13 @@ def main():
                     str(traces / f"{args.workload}-seed{args.seed}.json")]
     if args.smoke:
         command.append("--smoke")
+    timeout_s = run_timeout_s(args.seconds)
     try:
         done = subprocess.run(command, stdout=subprocess.PIPE,
                               stderr=sys.stderr, text=True,
-                              timeout=RUN_TIMEOUT_S, check=False)
+                              timeout=timeout_s, check=False)
     except subprocess.TimeoutExpired:
-        fail(f"stack_bench ran past {RUN_TIMEOUT_S} s")
+        fail(f"stack_bench ran past {timeout_s:g} s")
     if done.returncode != 0:
         fail(f"stack_bench exited with {done.returncode}")
     report = json.loads(done.stdout.strip().splitlines()[-1])

@@ -4,15 +4,15 @@
 ///   stack_bench --workload NAME --seed N --seconds S --trace 0|1
 ///               [--smoke] [--trace-out PATH]
 ///
-/// --trace 0 measures the end-to-end metrics: the workload's fixed set-up
-/// repeated cold, then repetitions of its timed section until S seconds
-/// have passed. --trace 1 is the separate traced run: spans around every
-/// call the benchmark makes into a layer, layer probes on the workload's
-/// own inputs, and the per-layer metrics derived from them. --smoke runs
-/// one set-up and one repetition. Every scenario a run simulates is one
-/// operation; it fails when it throws, breaks the drain identity, offers
-/// another request count than its spec, or differs from the same
-/// scenario's first run in any ServingMetrics bit.
+/// --trace 0 measures the end-to-end metrics: repetitions of the workload's
+/// timed section, with cold repetitions of its fixed set-up in between,
+/// until S seconds have passed. --trace 1 is the separate traced run: spans
+/// around every call the benchmark makes into a layer, layer probes on the
+/// workload's own inputs, and the per-layer metrics derived from them.
+/// --smoke runs one set-up and one repetition. Every scenario a run
+/// simulates is one operation; it fails when it throws, breaks the drain
+/// identity, offers another request count than its spec, or differs from
+/// the same scenario's first run in any ServingMetrics bit.
 ///
 /// The last stdout line is one JSON report: attempted/failed operations,
 /// the metrics with their units, each scenario's fingerprint, and the
@@ -41,10 +41,15 @@ namespace {
 using namespace optiplet;
 using namespace optiplet::perfbench;
 
-/// Cold set-up repetitions per run; the median is reported.
-constexpr int kSetupReps = 31;
+/// Share of a run's host time spent on cold set-ups. They run in a burst
+/// after every timed repetition, so they see the same host speed as the
+/// repetitions rather than the first instant of the process.
+constexpr double kSetupShare = 0.15;
 /// Timed repetitions per run, at least, even past --seconds.
-constexpr int kMinReps = 3;
+constexpr std::size_t kMinReps = 3;
+/// Rounds of plain, idle-recorder and traced runs in the traced run's obs
+/// layer, at least, even past --seconds.
+constexpr std::size_t kMinObsRounds = 3;
 /// Host time each layer probe of the traced run spends, at least [s].
 constexpr double kProbeBudgetS = 0.25;
 
@@ -173,48 +178,70 @@ bool checked_rep(const Workload& w, const Prepared& prepared, SpanTrace& trace,
   return true;
 }
 
+/// The end-to-end metrics: the median timed repetition, and the median
+/// over the set-up bursts of each burst's median cold set-up.
 std::vector<Metric> measure(const Workload& w, const Args& args,
                             Tally& tally) {
   SpanTrace off(false, "");
-  std::vector<double> setup_s;
-  Prepared prepared;
-  for (int i = 0; i < (args.smoke ? 1 : kSetupReps); ++i) {
-    const auto t0 = Clock::now();
-    prepared = set_up(w, off);
-    setup_s.push_back(seconds_since(t0));
-  }
+  const auto start = Clock::now();
+  const Prepared prepared = set_up(w, off);
+  // The median cold set-up of each burst; the process's first set-up
+  // stands alone.
+  std::vector<double> burst_s = {seconds_since(start)};
+  double setup_sum_s = burst_s.front();
+  std::size_t setups = 1;
 
   const auto requests = static_cast<double>(requests_per_rep(prepared));
   const auto scenarios = static_cast<double>(prepared.specs.size());
   std::vector<double> rep_s;
   double rss_mb = 0.0;
-  const auto start = Clock::now();
-  for (int rep = 1;; ++rep) {
+  for (std::size_t rep = 1;; ++rep) {
     Rep r;
     if (checked_rep(w, prepared, off, tally, r, "timed repetition")) {
       rep_s.push_back(r.wall_s);
     }
     if (rep == 1) {
       // Read after the first repetition, so the peak comes from a process
-      // that ran the workload exactly once at its thread count.
+      // that set up and ran the workload exactly once at its thread count.
       rss_mb = peak_rss_mb();
     }
-    if (args.smoke ||
-        (rep >= kMinReps && seconds_since(start) >= args.seconds)) {
+    if (args.smoke) {
+      break;
+    }
+    std::vector<double> burst;
+    do {
+      const auto t0 = Clock::now();
+      const Prepared cold = set_up(w, off);
+      burst.push_back(seconds_since(t0));
+      setup_sum_s += burst.back();
+    } while (setup_sum_s < kSetupShare * seconds_since(start));
+    setups += burst.size();
+    burst_s.push_back(median(burst));
+    if (rep >= kMinReps && seconds_since(start) >= args.seconds) {
       break;
     }
   }
   const double median_s = median(rep_s);
+  const double setup_s = median(burst_s);
   std::fprintf(stderr,
                "%s: %zu repetitions of %.0f requests, median %.4f s; "
-               "%zu set-ups, median %.6f s\n",
-               w.name.c_str(), rep_s.size(), requests, median_s,
-               setup_s.size(), median(setup_s));
+               "%zu set-ups in %zu bursts, median %.6f s; %.1f s\n",
+               w.name.c_str(), rep_s.size(), requests, median_s, setups,
+               burst_s.size(), setup_s, seconds_since(start));
+  std::fprintf(stderr, "repetitions [s]:");
+  for (const double s : rep_s) {
+    std::fprintf(stderr, " %.4f", s);
+  }
+  std::fprintf(stderr, "\nset-up bursts [s]:");
+  for (const double s : burst_s) {
+    std::fprintf(stderr, " %.6f", s);
+  }
+  std::fprintf(stderr, "\n");
   return {{"requests_per_s", median_s > 0.0 ? requests / median_s : 0.0,
            "1/s"},
           {"scenarios_per_s", median_s > 0.0 ? scenarios / median_s : 0.0,
            "1/s"},
-          {"setup_s", median(setup_s), "s"},
+          {"setup_s", setup_s, "s"},
           {"peak_rss_mb", rss_mb, "MB"}};
 }
 
@@ -237,7 +264,9 @@ class TracedRun {
       : w_(w),
         tally_(tally),
         trace_(true, w.name + ":" + std::to_string(args.seed)),
-        budget_s_(args.smoke ? 0.01 : kProbeBudgetS) {}
+        budget_s_(args.smoke ? 0.01 : kProbeBudgetS),
+        obs_budget_s_(args.smoke ? 0.0 : args.seconds),
+        obs_rounds_(args.smoke ? 1 : kMinObsRounds) {}
 
   std::vector<Metric> run(const std::string& trace_out) {
     {
@@ -247,9 +276,8 @@ class TracedRun {
         prepared_ = set_up(w_, trace_);
       }
       plans_ = plan_oracles(w_, prepared_, trace_);
-      // The timed section untraced, then spanned at its entry point.
-      if (!checked_rep(w_, prepared_, off_, tally_, plain_, "untraced run") ||
-          !checked_rep(w_, prepared_, trace_, tally_, rep_, "traced run")) {
+      // The timed section, spanned at its entry point.
+      if (!checked_rep(w_, prepared_, trace_, tally_, rep_, "traced run")) {
         throw std::runtime_error("the workload failed: " +
                                  tally_.errors.back());
       }
@@ -275,24 +303,34 @@ class TracedRun {
   }
 
   /// serve: the event loop and the oracle. On the rack serve::simulate
-  /// runs once per package inside cluster::simulate.
+  /// runs once per package inside cluster::simulate. Each simulated
+  /// scenario's oracle work is priced again right after it ran, through a
+  /// fresh oracle and as many distinct points as the run priced; the loop
+  /// time is the difference.
   void serve_layer() {
     std::vector<serve::ServingMetrics> served;
+    std::vector<const OraclePlan*> served_plans;
+    for (const OraclePlan& plan : plans_) {
+      if (!plan.balancer_weight) {
+        served_plans.push_back(&plan);
+      }
+    }
     if (w_.grid) {
-      // Each scenario's oracle points are warmed right before it runs: the
-      // warm-up is nearly all of a sampled scenario, and only back-to-back
-      // pairs keep the loop time, their difference, above the host drift.
+      // The warm-up is nearly all of a sampled scenario, and only
+      // back-to-back pairs keep the loop time, their difference, above the
+      // host drift.
       std::vector<Outcome> outcomes;
       for (std::size_t i = 0; i < prepared_.specs.size(); ++i) {
         const engine::ScenarioSpec& spec = prepared_.specs[i];
         direct_.push_back(serve::make_serving_config(
             scenario_config(w_, spec), w_.arch, *spec.serving));
-        warm(plans_[i], w_.arch, trace_);
         serve::ServingReport report;
         {
           const auto span = trace_.span("serve.simulate");
           report = serve::simulate(direct_.back());
         }
+        warm_like_run(*served_plans.at(i), w_.arch,
+                      report.metrics.service_cache_misses, trace_);
         served.push_back(report.metrics);
         pooled_.emplace_back();
         append_latencies(report, pooled_.back());
@@ -304,6 +342,8 @@ class TracedRun {
       pooled_.emplace_back();
       for (const cluster::PackageBreakdown& package : rep_.rack->packages) {
         if (package.active) {
+          warm_like_run(*served_plans.at(served.size()), w_.arch,
+                        package.report.metrics.service_cache_misses, trace_);
           served.push_back(package.report.metrics);
           simulate_s_ += package.report.wall_s;
           append_latencies(package.report, pooled_.back());
@@ -311,11 +351,16 @@ class TracedRun {
       }
     } else {
       for (const serve::ServingReport& report : rep_.serving) {
+        warm_like_run(*served_plans.at(served.size()), w_.arch,
+                      report.metrics.service_cache_misses, trace_);
         served.push_back(report.metrics);
         pooled_.emplace_back();
         append_latencies(report, pooled_.back());
       }
       simulate_s_ = trace_.total_s("serve.simulate");
+    }
+    if (served.size() != served_plans.size()) {
+      throw std::logic_error("one oracle plan per simulated scenario expected");
     }
 
     const double warm_s = trace_.total_s("serve.oracle_warm");
@@ -347,38 +392,71 @@ class TracedRun {
     add("serve.oracle_hit_ratio", hits / (hits + misses), "ratio");
   }
 
-  /// obs: an attached recorder that collects nothing must cost nothing.
+  /// Host time of one checked run of the timed section, spanned on `trace`
+  /// and with `recorder` attached. The sweep's scenarios run through
+  /// serve::simulate directly, because SweepRunner attaches no recorder.
+  double timed(SpanTrace& trace, obs::Recorder* recorder, const char* what) {
+    if (!w_.grid) {
+      Rep rep;
+      if (!checked_rep(w_, prepared_, trace, tally_, rep, what, recorder)) {
+        throw std::runtime_error("the workload failed: " +
+                                 tally_.errors.back());
+      }
+      return rep.wall_s;
+    }
+    std::vector<Outcome> outcomes;
+    const auto t0 = Clock::now();
+    for (serve::ServingConfig config : direct_) {
+      config.recorder = recorder;
+      serve::ServingReport report;
+      {
+        const auto span = trace.span("serve.simulate");
+        report = serve::simulate(config);
+      }
+      outcomes.push_back({label(outcomes.size()), report.metrics, {}});
+    }
+    const double wall_s = seconds_since(t0);
+    tally_.check_all(outcomes, prepared_, what);
+    return wall_s;
+  }
+
+  /// obs: an attached recorder that collects nothing must cost nothing,
+  /// and so must the benchmark's spans. Each round runs the timed section
+  /// plain, with an idle recorder and traced, so each ratio compares
+  /// neighbours that saw nearly the same host speed; the order rotates
+  /// from round to round, and the medians over the rounds are reported.
   void obs_layer() {
     obs::RecorderOptions options;
     options.trace = false;
     options.metrics = false;
     obs::Recorder idle(options);
-    double plain_s = plain_.wall_s;
-    double recorded_s = 0.0;
-    if (w_.grid) {
-      plain_s = simulate_s_;
-      std::vector<Outcome> outcomes;
-      const auto span = trace_.span("obs.idle_recorder");
-      const auto t0 = Clock::now();
-      for (serve::ServingConfig config : direct_) {
-        config.recorder = &idle;
-        const serve::ServingReport report = serve::simulate(config);
-        outcomes.push_back({label(outcomes.size()), report.metrics, {}});
+    // Spans of the traced runs go to a scratch trace, so the layer totals
+    // of trace_ keep covering a single run.
+    SpanTrace scratch(true, "");
+    struct Kind {
+      const char* span;
+      SpanTrace* trace;
+      obs::Recorder* recorder;
+    };
+    const Kind kinds[] = {{"obs.plain", &off_, nullptr},
+                          {"obs.idle_recorder", &off_, &idle},
+                          {"obs.traced", &scratch, nullptr}};
+    std::vector<double> idle_ratio;
+    std::vector<double> trace_ratio;
+    const auto start = Clock::now();
+    do {
+      double wall_s[3] = {};
+      for (std::size_t k = 0; k < 3; ++k) {
+        const std::size_t i = (idle_ratio.size() + k) % 3;
+        const auto span = trace_.span(kinds[i].span);
+        wall_s[i] = timed(*kinds[i].trace, kinds[i].recorder, kinds[i].span);
       }
-      recorded_s = seconds_since(t0);
-      tally_.check_all(outcomes, prepared_, "idle recorder");
-    } else {
-      Rep recorded;
-      const auto span = trace_.span("obs.idle_recorder");
-      if (!checked_rep(w_, prepared_, off_, tally_, recorded, "idle recorder",
-                       &idle)) {
-        throw std::runtime_error("the workload failed: " +
-                                 tally_.errors.back());
-      }
-      recorded_s = recorded.wall_s;
-    }
-    add("obs.idle_recorder_ratio", plain_s / recorded_s, "ratio");
-    add("obs.trace_overhead", rep_.wall_s / plain_.wall_s, "ratio");
+      idle_ratio.push_back(wall_s[0] / wall_s[1]);
+      trace_ratio.push_back(wall_s[2] / wall_s[0]);
+    } while (idle_ratio.size() < obs_rounds_ ||
+             seconds_since(start) < obs_budget_s_);
+    add("obs.idle_recorder_ratio", median(idle_ratio), "ratio");
+    add("obs.trace_overhead", median(trace_ratio), "ratio");
   }
 
   /// cluster: the rack itself, or each scenario as a one-package rack. Self
@@ -479,9 +557,11 @@ class TracedRun {
   SpanTrace trace_;
   SpanTrace off_{false, ""};
   double budget_s_;
+  /// The obs layer's rounds last this long [s], and at least obs_rounds_.
+  double obs_budget_s_;
+  std::size_t obs_rounds_;
   Prepared prepared_;
   std::vector<OraclePlan> plans_;
-  Rep plain_;
   Rep rep_;
   /// Sweep only: each scenario's config for the direct serve calls.
   std::vector<serve::ServingConfig> direct_;

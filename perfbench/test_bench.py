@@ -60,6 +60,15 @@ class DeclarationTest(unittest.TestCase):
         self.assertEqual(sorted(expected["workloads"]), sorted(WORKLOADS))
 
 
+class TimeoutTest(unittest.TestCase):
+    def test_declared_run_ends_within_180_s(self):
+        self.assertLessEqual(run.run_timeout_s(DECLARED["run_seconds"]), 170)
+
+    def test_timeout_outlasts_any_timed_loop(self):
+        for seconds in (1, 25, 150, 600):
+            self.assertGreater(run.run_timeout_s(seconds), 2 * seconds)
+
+
 class FingerprintTest(unittest.TestCase):
     REPORT = {"fingerprints": {
         "a": {"runs": 3, "offered": 10, "completed": 10, "shed": 0,

@@ -35,24 +35,22 @@ std::string scenario_label(const engine::ScenarioSpec& spec) {
          serve::to_string(spec.serving->policy);
 }
 
-/// Points `plan` warms for one co-located tenant set under `spec`.
-void plan_points(OraclePlan& plan, const serve::ServingSpec& spec) {
-  const bool batched = spec.policy == serve::BatchPolicy::kFixedSize ||
-                       spec.policy == serve::BatchPolicy::kDeadline;
+/// Every point `plan`'s tenants can price at batch size `batch`: a
+/// fixed-shape tenant's batch run (and its layer schedule when
+/// layer-granular); a transformer tenant's prefill at every prompt length
+/// and decode step at every KV length the uniform token draw admits.
+std::vector<OraclePlan::Point> batch_points(const OraclePlan& plan,
+                                            unsigned batch) {
+  const serve::ServingSpec& spec = plan.spec;
+  std::vector<OraclePlan::Point> points;
   for (std::size_t t = 0; t < plan.tenants.size(); ++t) {
-    const auto& transformer = plan.tenants[t].transformer;
-    if (!transformer || spec.prefill_tokens == 0) {
-      plan.points.push_back({t, Lookup::kBatch, 1, 0});
-      if (batched && spec.max_batch > 1) {
-        plan.points.push_back({t, Lookup::kBatch, spec.max_batch, 0});
-      }
+    if (!plan.tenants[t].transformer || spec.prefill_tokens == 0) {
+      points.push_back({t, Lookup::kBatch, batch, 0});
       if (spec.pipeline == serve::PipelineMode::kLayerGranular) {
-        plan.points.push_back({t, Lookup::kLayerSchedule, 1, 0});
+        points.push_back({t, Lookup::kLayerSchedule, batch, 0});
       }
       continue;
     }
-    // Every prompt length the uniform token draw can produce, and every
-    // KV bucket its decode steps reach, priced at batch 1.
     const auto spread_of = [&](std::uint32_t mean) {
       const double lo = std::round(mean * (1.0 - spec.token_spread));
       const double hi = std::round(mean * (1.0 + spec.token_spread));
@@ -62,22 +60,19 @@ void plan_points(OraclePlan& plan, const serve::ServingSpec& spec) {
     };
     const auto [p_lo, p_hi] = spread_of(spec.prefill_tokens);
     for (std::uint32_t p = p_lo; p <= p_hi; ++p) {
-      plan.points.push_back({t, Lookup::kPrefill, 1, p});
+      points.push_back({t, Lookup::kPrefill, batch, p});
     }
     if (spec.decode_tokens == 0) {
       continue;
     }
-    // ServiceTimeOracle::kv_bucket rounds a KV length up to a multiple of
-    // 64 within the context window, so each multiple is one point.
-    constexpr std::uint32_t kBucket = 64;
-    const std::uint32_t last = transformer->max_context - 1;
-    const std::uint32_t kv_max =
-        std::min(p_hi + spread_of(spec.decode_tokens).second - 1, last);
-    for (std::uint32_t kv = (p_lo + kBucket - 1) / kBucket * kBucket;
-         kv < kv_max + kBucket; kv += kBucket) {
-      plan.points.push_back({t, Lookup::kDecode, 1, std::min(kv, last)});
+    // Decode steps attend from the shortest prompt to the longest context.
+    const std::uint32_t kv_hi =
+        p_hi + spread_of(spec.decode_tokens).second - 1;
+    for (std::uint32_t kv = p_lo; kv <= kv_hi; ++kv) {
+      points.push_back({t, Lookup::kDecode, batch, kv});
     }
   }
+  return points;
 }
 
 OraclePlan make_plan(const core::SystemConfig& cfg, accel::Architecture arch,
@@ -89,8 +84,33 @@ OraclePlan make_plan(const core::SystemConfig& cfg, accel::Architecture arch,
     plan.tenants =
         serve::make_colocated_setup(cfg, arch, models).oracle_tenants;
   }
-  plan_points(plan, spec);
+  plan.spec = spec;
+  plan.points = batch_points(plan, 1);
+  const bool batched = spec.policy == serve::BatchPolicy::kFixedSize ||
+                       spec.policy == serve::BatchPolicy::kDeadline;
+  if (batched && spec.max_batch > 1) {
+    for (const OraclePlan::Point& p : batch_points(plan, spec.max_batch)) {
+      plan.points.push_back(p);
+    }
+  }
   return plan;
+}
+
+void price(serve::ServiceTimeOracle& oracle, const OraclePlan::Point& p) {
+  switch (p.lookup) {
+    case Lookup::kBatch:
+      (void)oracle.batch_run(p.tenant, p.batch);
+      break;
+    case Lookup::kLayerSchedule:
+      (void)oracle.layer_schedule(p.tenant, p.batch);
+      break;
+    case Lookup::kPrefill:
+      (void)oracle.prefill_run(p.tenant, p.batch, p.tokens);
+      break;
+    case Lookup::kDecode:
+      (void)oracle.decode_run(p.tenant, p.batch, p.tokens);
+      break;
+  }
 }
 
 template <typename T>
@@ -286,6 +306,7 @@ std::vector<OraclePlan> plan_oracles(const Workload& w,
     for (const std::string& model :
          std::set<std::string>(models.begin(), models.end())) {
       plans.push_back(make_plan(cfg, w.arch, {model}, solo, trace));
+      plans.back().balancer_weight = true;
     }
   }
   return plans;
@@ -293,23 +314,38 @@ std::vector<OraclePlan> plan_oracles(const Workload& w,
 
 void warm(const OraclePlan& plan, accel::Architecture arch,
           SpanTrace& trace) {
-  const auto span = trace.span("serve.oracle_warm");
+  const auto span = trace.span("setup.oracle_warm");
   serve::ServiceTimeOracle oracle(plan.tenants, arch);
   for (const OraclePlan::Point& p : plan.points) {
-    switch (p.lookup) {
-      case Lookup::kBatch:
-        (void)oracle.batch_run(p.tenant, p.batch);
-        break;
-      case Lookup::kLayerSchedule:
-        (void)oracle.layer_schedule(p.tenant, p.batch);
-        break;
-      case Lookup::kPrefill:
-        (void)oracle.prefill_run(p.tenant, p.batch, p.tokens);
-        break;
-      case Lookup::kDecode:
-        (void)oracle.decode_run(p.tenant, p.batch, p.tokens);
-        break;
+    price(oracle, p);
+  }
+}
+
+void warm_like_run(const OraclePlan& plan, accel::Architecture arch,
+                   std::uint64_t run_points, SpanTrace& trace) {
+  serve::ServiceTimeOracle oracle(plan.tenants, arch);
+  {
+    const auto span = trace.span("serve.oracle_warm");
+    for (const OraclePlan::Point& p : plan.points) {
+      price(oracle, p);
     }
+    const unsigned top = plan.spec.policy == serve::BatchPolicy::kNone
+                             ? 1
+                             : plan.spec.max_batch;
+    for (unsigned batch = 2;
+         batch <= top && oracle.cache_misses() < run_points; ++batch) {
+      for (const OraclePlan::Point& p : batch_points(plan, batch)) {
+        if (oracle.cache_misses() == run_points) {
+          break;
+        }
+        price(oracle, p);
+      }
+    }
+  }
+  if (oracle.cache_misses() != run_points) {
+    throw std::runtime_error(
+        "the oracle warm-up priced " + std::to_string(oracle.cache_misses()) +
+        " points where the run priced " + std::to_string(run_points));
   }
 }
 

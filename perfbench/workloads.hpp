@@ -60,11 +60,11 @@ struct Prepared {
 /// event, through public calls, each call spanned on `trace`: model
 /// lookup, make_serving_config and make_colocated_setup for every scenario
 /// (per package plus place_tenants, and each model solo for the balancer
-/// weights, on the rack), then the oracle warm-up of every point fixed by
-/// the configuration. The sweep first runs ScenarioGrid::expand, the
-/// link-budget check of every expanded spec and SweepRunner construction,
-/// and skips the warm-up: its sampled-fidelity points are the bulk of its
-/// measured work.
+/// weights, on the rack), then the oracle warm-up of every batch-1 and
+/// full-batch point (see OraclePlan). The sweep first runs
+/// ScenarioGrid::expand, the link-budget check of every expanded spec and
+/// SweepRunner construction, and skips the warm-up: its sampled-fidelity
+/// points are the bulk of its measured work.
 [[nodiscard]] Prepared set_up(const Workload& w, SpanTrace& trace);
 
 /// Kinds of ServiceTimeOracle lookup the set-up warms.
@@ -73,29 +73,43 @@ enum class Lookup { kBatch, kLayerSchedule, kPrefill, kDecode };
 /// The oracle points one co-located tenant set prices before its first
 /// event: batch 1 (the SLA pin), the policy's full batch, the layer
 /// schedule in layer-granular mode, and for transformer tenants the
-/// batch-1 price of every prompt length and KV bucket the token spread
-/// admits. Points whose batch sizes depend on the run's dynamics (partial
-/// tail batches, continuous-batching groups) are priced lazily inside the
-/// timed section.
+/// batch-1 price of every prompt length and KV length the token spread
+/// admits (decode_run buckets the KV lengths). Points whose batch sizes
+/// depend on the run's dynamics (partial tail batches, continuous-batching
+/// groups) are priced lazily inside the timed section.
 struct OraclePlan {
   struct Point {
     std::size_t tenant = 0;
     Lookup lookup = Lookup::kBatch;
     unsigned batch = 1;
-    std::uint32_t tokens = 0;
+    std::uint32_t tokens = 0;  ///< prompt length or raw KV length
   };
   std::vector<serve::ServiceTimeOracle::Tenant> tenants;
+  serve::ServingSpec spec;
   std::vector<Point> points;
+  /// A model priced solo for the rack balancer's weights, which no
+  /// package simulation serves.
+  bool balancer_weight = false;
 };
 
 /// The oracle plans of every scenario of `prepared`: one per lone scenario,
-/// and on the rack one per active package plus one per model solo.
+/// and on the rack one per active package, in package order, plus one per
+/// model solo.
 [[nodiscard]] std::vector<OraclePlan> plan_oracles(const Workload& w,
                                                    const Prepared& prepared,
                                                    SpanTrace& trace);
 
 /// Warm every point of `plan` through a fresh ServiceTimeOracle.
 void warm(const OraclePlan& plan, accel::Architecture arch, SpanTrace& trace);
+
+/// Price as many distinct points through a fresh ServiceTimeOracle as one
+/// run of `plan`'s scenario did (`run_points`, its service_cache_misses):
+/// the plan's points, then the points of batch sizes 2, 3, ... up to the
+/// policy's maximum, until the counts match. The points the run's dynamics
+/// chose are not observable, so these are points of the same kinds and
+/// ranges. Throws std::runtime_error when the counts cannot match.
+void warm_like_run(const OraclePlan& plan, accel::Architecture arch,
+                   std::uint64_t run_points, SpanTrace& trace);
 
 /// One scenario's simulated outcome.
 struct Outcome {
