@@ -18,8 +18,8 @@ and prints the result as the last line of stdout:
 
 --trace 0 reports the end-to-end metrics of BENCHMARK.json, --trace 1 the
 per-layer metrics, and writes the run's spans to
-<build dir>/traces/<workload>-seed<seed>.json. --smoke runs one set-up and
-one repetition. Human-readable detail goes to stderr.
+<build dir>/traces/<workload>-seed<seed>.json. --smoke runs a single
+round with a single cold set-up. Human-readable detail goes to stderr.
 """
 
 import argparse
@@ -140,7 +140,7 @@ def main():
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), required=True)
     parser.add_argument("--smoke", action="store_true",
-                        help="one set-up and one repetition")
+                        help="a single round with a single cold set-up")
     args = parser.parse_args()
     if args.seed < 0:
         fail("--seed must be non-negative")

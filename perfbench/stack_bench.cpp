@@ -4,12 +4,13 @@
 ///   stack_bench --workload NAME --seed N --seconds S --trace 0|1
 ///               [--smoke] [--trace-out PATH]
 ///
-/// --trace 0 measures the end-to-end metrics: repetitions of the workload's
-/// timed section, with cold repetitions of its fixed set-up in between,
+/// --trace 0 measures the end-to-end metrics: after a warm-up repetition,
+/// rounds of one timed repetition of the workload's timed section, cold
+/// repetitions of its fixed set-up and reference passes (host_reference.hpp)
 /// until S seconds have passed. --trace 1 is the separate traced run: spans
 /// around every call the benchmark makes into a layer, layer probes on the
 /// workload's own inputs, and the per-layer metrics derived from them.
-/// --smoke runs one set-up and one repetition. Every scenario a run
+/// --smoke runs a single round with a single cold set-up. Every scenario a run
 /// simulates is one operation; it fails when it throws, breaks the drain
 /// identity, offers another request count than its spec, or differs from
 /// the same scenario's first run in any ServingMetrics bit.
@@ -20,18 +21,18 @@
 /// fingerprints against the values recorded for the default seed, and
 /// prints the benchmark's result line.
 
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <exception>
+#include <fstream>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "host_reference.hpp"
 #include "layer_probes.hpp"
 #include "obs/recorder.hpp"
 #include "workloads.hpp"
@@ -42,10 +43,11 @@ using namespace optiplet;
 using namespace optiplet::perfbench;
 
 /// Share of a run's host time spent on cold set-ups. They run in a burst
-/// after every timed repetition, so they see the same host speed as the
-/// repetitions rather than the first instant of the process.
+/// after every timed repetition, so they are spread over the whole run.
 constexpr double kSetupShare = 0.15;
-/// Timed repetitions per run, at least, even past --seconds.
+/// Share of each round's timed host time that its reference passes cover.
+constexpr double kReferenceShare = 0.25;
+/// Timed rounds per run, at least, even past --seconds.
 constexpr std::size_t kMinReps = 3;
 /// Rounds of plain, idle-recorder and traced runs in the traced run's obs
 /// layer, at least, even past --seconds.
@@ -53,10 +55,19 @@ constexpr std::size_t kMinObsRounds = 3;
 /// Host time each layer probe of the traced run spends, at least [s].
 constexpr double kProbeBudgetS = 0.25;
 
+/// Peak resident set of this process's address space [MB], from VmHWM.
+/// getrusage's ru_maxrss is no use here: Linux carries it over exec, so
+/// it would report the launching Python process's peak whenever that is
+/// the larger.
 double peak_rss_mb() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) * 1024.0 / 1.0e6;  // KiB
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stod(line.substr(6)) * 1024.0 / 1.0e6;  // kB
+    }
+  }
+  throw std::runtime_error("no VmHWM in /proc/self/status");
 }
 
 struct Args {
@@ -178,65 +189,99 @@ bool checked_rep(const Workload& w, const Prepared& prepared, SpanTrace& trace,
   return true;
 }
 
-/// The end-to-end metrics: the median timed repetition, and the median
-/// over the set-up bursts of each burst's median cold set-up.
+/// The end-to-end metrics. The first repetition warms the process up and
+/// sets its peak RSS. Then each round runs one timed repetition, a burst of
+/// cold set-ups and reference passes, so every repetition and burst has
+/// reference passes on each side. Each is timed against the mean of the two
+/// sides' median passes, and the medians of those ratios, at the
+/// reference's nominal speed, are the reported times.
 std::vector<Metric> measure(const Workload& w, const Args& args,
                             Tally& tally) {
   SpanTrace off(false, "");
   const auto start = Clock::now();
   const Prepared prepared = set_up(w, off);
-  // The median cold set-up of each burst; the process's first set-up
-  // stands alone.
-  std::vector<double> burst_s = {seconds_since(start)};
-  double setup_sum_s = burst_s.front();
+  double setup_sum_s = seconds_since(start);
   std::size_t setups = 1;
 
-  const auto requests = static_cast<double>(requests_per_rep(prepared));
-  const auto scenarios = static_cast<double>(prepared.specs.size());
+  Rep warm_up;
+  (void)checked_rep(w, prepared, off, tally, warm_up, "warm-up repetition");
+  const double rss_mb = peak_rss_mb();
+
+  // Reference passes covering kReferenceShare of `cover_s`, at least one;
+  // returns their median.
+  std::vector<double> ref_s;
+  std::uint64_t checksum = 0;
+  const auto reference = [&](double cover_s) {
+    std::vector<double> passes;
+    double sum_s = 0.0;
+    do {
+      const ReferencePass pass = run_reference();
+      if (checksum == 0) {
+        checksum = pass.checksum;
+      } else if (pass.checksum != checksum) {
+        throw std::runtime_error("the reference pass changed its outcome");
+      }
+      passes.push_back(pass.wall_s);
+      sum_s += pass.wall_s;
+    } while (sum_s < kReferenceShare * cover_s);
+    ref_s.insert(ref_s.end(), passes.begin(), passes.end());
+    return median(passes);
+  };
+
+  double before_s = reference(warm_up.wall_s);
   std::vector<double> rep_s;
-  double rss_mb = 0.0;
-  for (std::size_t rep = 1;; ++rep) {
+  std::vector<double> rep_ratio;
+  std::vector<double> burst_ratio;
+  for (std::size_t round = 1;; ++round) {
     Rep r;
-    if (checked_rep(w, prepared, off, tally, r, "timed repetition")) {
-      rep_s.push_back(r.wall_s);
-    }
-    if (rep == 1) {
-      // Read after the first repetition, so the peak comes from a process
-      // that set up and ran the workload exactly once at its thread count.
-      rss_mb = peak_rss_mb();
-    }
-    if (args.smoke) {
-      break;
-    }
+    const bool passed =
+        checked_rep(w, prepared, off, tally, r, "timed repetition");
     std::vector<double> burst;
+    double burst_sum_s = 0.0;
     do {
       const auto t0 = Clock::now();
       const Prepared cold = set_up(w, off);
       burst.push_back(seconds_since(t0));
+      burst_sum_s += burst.back();
       setup_sum_s += burst.back();
-    } while (setup_sum_s < kSetupShare * seconds_since(start));
+    } while (!args.smoke && setup_sum_s < kSetupShare * seconds_since(start));
     setups += burst.size();
-    burst_s.push_back(median(burst));
-    if (rep >= kMinReps && seconds_since(start) >= args.seconds) {
+    const double after_s = reference(r.wall_s + burst_sum_s);
+    const double ref_mid_s = 0.5 * (before_s + after_s);
+    if (passed) {
+      rep_s.push_back(r.wall_s);
+      rep_ratio.push_back(r.wall_s / ref_mid_s);
+    }
+    burst_ratio.push_back(median(burst) / ref_mid_s);
+    before_s = after_s;
+    if (args.smoke ||
+        (round >= kMinReps && seconds_since(start) >= args.seconds)) {
       break;
     }
   }
-  const double median_s = median(rep_s);
-  const double setup_s = median(burst_s);
+  const double median_s = median(rep_ratio) * kReferencePassS;
+  const double setup_s = median(burst_ratio) * kReferencePassS;
+  const double requests = static_cast<double>(requests_per_rep(prepared));
+  const double scenarios = static_cast<double>(prepared.specs.size());
   std::fprintf(stderr,
-               "%s: %zu repetitions of %.0f requests, median %.4f s; "
-               "%zu set-ups in %zu bursts, median %.6f s; %.1f s\n",
-               w.name.c_str(), rep_s.size(), requests, median_s, setups,
-               burst_s.size(), setup_s, seconds_since(start));
-  std::fprintf(stderr, "repetitions [s]:");
-  for (const double s : rep_s) {
-    std::fprintf(stderr, " %.4f", s);
-  }
-  std::fprintf(stderr, "\nset-up bursts [s]:");
-  for (const double s : burst_s) {
-    std::fprintf(stderr, " %.6f", s);
-  }
-  std::fprintf(stderr, "\n");
+               "%s: %zu timed repetitions of %.0f requests, host median "
+               "%.4f s, %.4f s at reference speed; %zu set-ups, median "
+               "burst %.6f s at reference speed; reference pass median "
+               "%.4f s (nominal %.4f s); %.1f s\n",
+               w.name.c_str(), rep_s.size(), requests, median(rep_s),
+               median_s, setups, setup_s, median(ref_s), kReferencePassS,
+               seconds_since(start));
+  const auto list = [](const char* what, const std::vector<double>& values) {
+    std::fprintf(stderr, "%s:", what);
+    for (const double v : values) {
+      std::fprintf(stderr, " %.5f", v);
+    }
+    std::fprintf(stderr, "\n");
+  };
+  list("repetitions [s]", rep_s);
+  list("reference passes [s]", ref_s);
+  list("repetition / reference", rep_ratio);
+  list("set-up burst / reference", burst_ratio);
   return {{"requests_per_s", median_s > 0.0 ? requests / median_s : 0.0,
            "1/s"},
           {"scenarios_per_s", median_s > 0.0 ? scenarios / median_s : 0.0,

@@ -152,6 +152,9 @@ core::SystemConfig scenario_config(const Workload& w,
   return config;
 }
 
+// Request counts are per repetition. Repetitions of 0.15 to 0.4 s on the
+// lone and rack workloads let each one be timed against reference passes
+// run just before and after it (see README.md, Noise).
 Workload make_workload(const std::string& name, std::uint64_t seed) {
   Workload w;
   w.name = name;
@@ -163,7 +166,7 @@ Workload make_workload(const std::string& name, std::uint64_t seed) {
     // utilization: ~77 events per request, so the event kernel dominates.
     s.tenant_mix = "ResNet50+DenseNet121";
     s.arrival_rps = 1000.0;
-    s.requests = 200000;
+    s.requests = 10000;
     s.policy = serve::BatchPolicy::kNone;
     s.pipeline = serve::PipelineMode::kLayerGranular;
   } else if (name == "rack_batched") {
@@ -171,7 +174,7 @@ Workload make_workload(const std::string& name, std::uint64_t seed) {
     // the serial front end and the rack merge dominate.
     s.tenant_mix = "LeNet5+MobileNetV2";
     s.arrival_rps = 24000.0;
-    s.requests = 1000000;
+    s.requests = 250000;
     s.policy = serve::BatchPolicy::kFixedSize;
     s.max_batch = 8;
     cluster::ClusterSpec rack;
@@ -212,7 +215,7 @@ Workload make_workload(const std::string& name, std::uint64_t seed) {
     s.prefill_tokens = 64;
     s.decode_tokens = 64;
     s.token_spread = 0.5;
-    s.requests = 200000;
+    s.requests = 100000;
   } else {
     throw std::invalid_argument("unknown workload: " + name);
   }
