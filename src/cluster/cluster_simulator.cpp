@@ -327,9 +327,9 @@ ClusterReport simulate(const ClusterConfig& config) {
   double first_arrival = std::numeric_limits<double>::infinity();
   double last_completion = 0.0;
   std::uint64_t batches = 0;
-  std::uint64_t violations = 0;
-  std::vector<double> all_latencies;
-  std::map<unsigned, std::vector<double>> class_latencies;
+  // Package order, then tenant order: the same (tenant, completion) fold
+  // a lone simulator performs, so a 1-package rack is bit-identical.
+  serve::LatencyPool latencies;
   double util_sum = 0.0;
   metrics.util_min = std::numeric_limits<double>::infinity();
   metrics.util_max = 0.0;
@@ -403,14 +403,7 @@ ClusterReport simulate(const ClusterConfig& config) {
       for (std::size_t i = 0; i < breakdown.report.tenants.size(); ++i) {
         const serve::TenantReport& tenant = breakdown.report.tenants[i];
         batches += tenant.batches;
-        const auto& latencies = breakdown.report.tenant_latencies[i];
-        all_latencies.insert(all_latencies.end(), latencies.begin(),
-                             latencies.end());
-        auto& cls = class_latencies[tenant.priority];
-        cls.insert(cls.end(), latencies.begin(), latencies.end());
-        for (const double latency : latencies) {
-          violations += latency > tenant.sla_s ? 1 : 0;
-        }
+        latencies.add(tenant, breakdown.report.tenant_latencies[i]);
         if (closed) {
           // Users pinned off their ingress port pay the link per
           // completed request; charged as the user-share expectation.
@@ -461,37 +454,7 @@ ClusterReport simulate(const ClusterConfig& config) {
           point.energy_j / static_cast<double>(point.completed);
     }
   }
-  if (!all_latencies.empty()) {
-    double sum = 0.0;
-    for (const double latency : all_latencies) {
-      sum += latency;
-      rack.max_latency_s = std::max(rack.max_latency_s, latency);
-    }
-    rack.mean_latency_s = sum / static_cast<double>(all_latencies.size());
-    rack.p50_s = serve::exact_quantile(all_latencies, 0.50);
-    rack.p95_s = serve::exact_quantile(all_latencies, 0.95);
-    rack.p99_s = serve::exact_quantile(all_latencies, 0.99);
-    rack.sla_violation_rate = static_cast<double>(violations) /
-                              static_cast<double>(all_latencies.size());
-  }
-  if (!class_latencies.empty()) {
-    rack.p99_hi_s =
-        serve::exact_quantile(class_latencies.begin()->second, 0.99);
-    rack.p99_lo_s =
-        serve::exact_quantile(class_latencies.rbegin()->second, 0.99);
-  }
-  if (rack.makespan_s > 0.0) {
-    rack.throughput_rps =
-        static_cast<double>(rack.completed) / rack.makespan_s;
-    rack.goodput_rps =
-        static_cast<double>(rack.completed - violations) / rack.makespan_s;
-  }
-  if (rack.completed > 0) {
-    rack.energy_per_request_j =
-        rack.energy_j / static_cast<double>(rack.completed);
-    rack.mean_batch = static_cast<double>(rack.completed) /
-                      static_cast<double>(std::max<std::uint64_t>(batches, 1));
-  }
+  latencies.summarize(rack, batches, rack.makespan_s);
   // Idle packages count as utilization 0 — the rack average is honest
   // about unused capacity.
   rack.utilization = util_sum / static_cast<double>(packages);

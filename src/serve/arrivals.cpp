@@ -80,8 +80,12 @@ std::vector<TraceEvent> load_arrival_trace(const std::string& path) {
       throw std::invalid_argument("bad arrival_s value in trace: \"" +
                                   row[*time_col] + "\"");
     }
-    if (e.arrival_s < 0.0) {
-      throw std::invalid_argument("negative arrival_s in trace: " + path);
+    // std::stod accepts "nan" and "inf"; neither is a time the event
+    // queue can schedule.
+    if (!std::isfinite(e.arrival_s) || e.arrival_s < 0.0) {
+      throw std::invalid_argument(
+          "arrival_s must be finite and non-negative, got \"" +
+          row[*time_col] + "\" in trace: " + path);
     }
     if (tenant_col && row.size() > *tenant_col) {
       e.tenant = row[*tenant_col];

@@ -5,6 +5,7 @@
 /// execution trace the co-location invariant tests consume.
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -228,5 +229,46 @@ struct ServingReport {
 /// Exact nearest-rank quantile of `values` (copied and sorted internally);
 /// q in (0, 1]. Returns 0 for an empty sample.
 [[nodiscard]] double exact_quantile(std::vector<double> values, double q);
+
+/// Completion latencies pooled across tenants, each sample judged against
+/// its own tenant's SLA and filed under the tenant's priority class, and
+/// the one summary every report derives from them: a tenant's own report,
+/// the lone simulator's aggregate, and the rack merge. The mean sums in
+/// insertion (tenant, completion) order; quantiles are exact nearest-rank
+/// values selected on one working copy.
+class LatencyPool {
+ public:
+  /// Pool one tenant's samples; its report supplies the SLA, the priority
+  /// class and the class counters.
+  void add(const TenantReport& tenant, const std::vector<double>& samples);
+
+  /// Fill the latency figures (mean, max, p50/p95/p99, SLA-violation
+  /// rate) and the rates (throughput and goodput over `makespan_s`,
+  /// energy per request, mean batch) of a report whose counters and
+  /// energy are final. The aggregate form also sets p99_hi_s / p99_lo_s
+  /// from the first and last priority class.
+  void summarize(TenantReport& r, double makespan_s);
+  void summarize(ServingMetrics& m, std::uint64_t batches, double makespan_s);
+
+  /// One report per pooled priority class, ascending by class.
+  [[nodiscard]] std::vector<ClassReport> classes(double makespan_s);
+
+ private:
+  struct Class {
+    ClassReport report;
+    std::vector<double> samples;
+    std::uint64_t violations = 0;
+    bool p99_selected = false;
+  };
+
+  template <typename Report>
+  void summarize_into(Report& r, std::uint64_t batches, double makespan_s);
+
+  std::map<unsigned, Class> classes_;
+  std::size_t count_ = 0;
+  double sum_s_ = 0.0;
+  double max_s_ = 0.0;
+  std::uint64_t violations_ = 0;
+};
 
 }  // namespace optiplet::serve

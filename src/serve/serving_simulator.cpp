@@ -283,10 +283,91 @@ struct Engine {
     }
   }
 
-  void record_resipi_conflict(double wait_s) {
-    if (rec != nullptr && rec->metering()) {
-      rec->metrics().add("resipi.conflicts");
-      rec->metrics().add("resipi.wait_s", wait_s);
+  /// Serialize a ReSiPI window of `window_s` on the shared interposer for
+  /// tenant `t`, opening no earlier than `start`: wait out another
+  /// tenant's open window (a conflict), then reserve. Returns the
+  /// possibly delayed start.
+  double resipi_reserve(std::size_t t, double start, double window_s) {
+    if (resipi_holder != t && resipi_free_at > start) {
+      const double wait = resipi_free_at - start;
+      start += wait;
+      TenantReport& r = tenants[t].report;
+      r.resipi_wait_s += wait;
+      r.resipi_conflicts += 1;
+      if (rec != nullptr && rec->metering()) {
+        rec->metrics().add("resipi.conflicts");
+        rec->metrics().add("resipi.wait_s", wait);
+      }
+    }
+    resipi_holder = t;
+    // Several of one tenant's batches can be in flight (layer mode), and
+    // a handoff may follow its batch window: never roll an earlier,
+    // longer reservation backwards.
+    resipi_free_at = std::max(resipi_free_at, start + window_s);
+    return start;
+  }
+
+  /// A batch's own reconfiguration window, reserved from `start` (which
+  /// any conflict wait delays). The PCM writes happen inside the run and
+  /// are charged in its latency; the window only excludes *other*
+  /// tenants' writes. Returns 0 when the run retunes nothing.
+  double reserve_batch_window(std::size_t t, const core::RunResult& run,
+                              double& start) {
+    if (config.arch != accel::Architecture::kSiph2p5D ||
+        run.resipi_reconfigurations == 0) {
+      return 0.0;
+    }
+    const double window_s =
+        std::min(run.latency_s,
+                 static_cast<double>(run.resipi_reconfigurations) *
+                     config.system.tech.photonic.pcm.write_time_s);
+    start = resipi_reserve(t, start, window_s);
+    return window_s;
+  }
+
+  /// Charge the executor-busy interval [start, end) to tenant `t` and to
+  /// every chiplet it occupies. Every mode keeps batch-granular executor
+  /// semantics (the whole occupancy is "this tenant's executor working"),
+  /// so utilization is comparable across modes.
+  void charge_busy(std::size_t t, double start, double end) {
+    TenantState& ts = tenants[t];
+    for (const std::size_t c : ts.occupancy) {
+      report.chiplet_busy_s[c] += end - start;
+    }
+    ts.report.busy_s += end - start;
+  }
+
+  /// Record one execution interval: its BatchTrace (record_batches) over
+  /// the chiplets actually `locked`, and the ReSiPI retune span it opened
+  /// on the interposer track. A pipeline stage passes its in-flight batch
+  /// for the layer slice and dispatch id.
+  void record_batch(std::size_t t, unsigned size, double start, double end,
+                    double resipi_window_s,
+                    const std::vector<std::size_t>& locked,
+                    const InFlightBatch* stage_of = nullptr,
+                    const char* retune_kind = "batch_window") {
+    if (config.record_batches) {
+      BatchTrace trace;
+      trace.tenant = t;
+      trace.size = size;
+      trace.start_s = start;
+      trace.end_s = end;
+      trace.chiplets = locked;
+      trace.resipi_start_s = start;
+      trace.resipi_end_s = start + resipi_window_s;
+      if (stage_of != nullptr) {
+        const ExecStage& s = (*stage_of->stages)[stage_of->stage];
+        trace.first_layer = s.first_layer;
+        trace.layer_count = s.layer_count;
+        trace.batch_id = stage_of->id;
+      }
+      report.batches.push_back(std::move(trace));
+    }
+    if (rec != nullptr && rec->tracing() && resipi_window_s > 0.0) {
+      rec->trace().add_complete("retune", "resipi", start,
+                                start + resipi_window_s, pid, resipi_track,
+                                {obs::arg("tenant", tenants[t].report.name),
+                                 obs::arg("kind", retune_kind)});
     }
   }
 
@@ -471,10 +552,9 @@ struct Engine {
   }
 
   /// Batch-granular trace: per-request queue spans closing at the batch
-  /// start, the batch span on the tenant's executor track, and the ReSiPI
-  /// window on the interposer track.
+  /// start and the batch span on the tenant's executor track.
   void record_batch_trace(std::size_t t, const std::vector<Request>& batch,
-                          double start, double end, double resipi_window_s) {
+                          double start, double end) {
     if (!rec->tracing()) {
       return;
     }
@@ -489,20 +569,13 @@ struct Engine {
         {obs::arg("tenant", ts.report.name),
          obs::arg("batch", ts.report.batches - 1),
          obs::arg("size", static_cast<std::uint64_t>(batch.size()))});
-    if (resipi_window_s > 0.0) {
-      tb.add_complete("retune", "resipi", start, start + resipi_window_s,
-                      pid, resipi_track,
-                      {obs::arg("tenant", ts.report.name),
-                       obs::arg("kind", "batch_window")});
-    }
   }
 
   /// Layer-granular trace: stage spans live on their chiplet-group track
   /// (exclusive FIFO resources, so spans never overlap within a track);
   /// stage 0 also closes the batch's queue spans.
   void record_stage_trace(const InFlightBatch& b, const ExecStage& s,
-                          double start, double end, double resipi_window_s,
-                          double handoff_s) {
+                          double start, double end) {
     if (!rec->tracing()) {
       return;
     }
@@ -521,13 +594,6 @@ struct Engine {
          obs::arg("first_layer", static_cast<std::uint64_t>(s.first_layer)),
          obs::arg("layer_count",
                   static_cast<std::uint64_t>(s.layer_count))});
-    if (resipi_window_s > 0.0) {
-      tb.add_complete(
-          "retune", "resipi", start, start + resipi_window_s, pid,
-          resipi_track,
-          {obs::arg("tenant", ts.report.name),
-           obs::arg("kind", handoff_s > 0.0 ? "handoff" : "batch_window")});
-    }
   }
 
   /// Periodic metric snapshot: sample the queue-depth / in-flight gauges
@@ -640,9 +706,9 @@ struct Engine {
     std::vector<ServiceTimeOracle::Tenant> oracle_tenants;
     oracle_tenants.reserve(tenants.size());
     for (std::size_t t = 0; t < tenants.size(); ++t) {
-      ServiceTimeOracle::Tenant ot{base_models[t], config.system};
+      ServiceTimeOracle::Tenant ot{base_models[t], config.system,
+                                   oracle->transformer(t)};
       ot.config.compute_2p5d = next->tenants[t].platform;
-      ot.transformer = oracle->transformer(t);
       oracle_tenants.push_back(std::move(ot));
     }
     gen_oracles.push_back(std::make_unique<ServiceTimeOracle>(
@@ -851,7 +917,7 @@ struct Engine {
     TenantState& ts = tenants[t];
     const double now = events.now();
     first_arrival_s = std::min(first_arrival_s, now);
-    Request request{ts.next_id++, now};
+    Request request{ts.next_id++, now, {}};
     if (ts.var_length) {
       // Replayed shapes are consumed in arrival-event order; rows without
       // token columns (and synthetic arrivals) draw around the means.
@@ -1096,71 +1162,51 @@ struct Engine {
   }
 
   void begin_execution(std::size_t t, std::vector<Request> batch) {
-    TenantState& ts = tenants[t];
-    if (ts.var_length) {
+    if (tenants[t].var_length) {
       begin_execution_tokens(t, std::move(batch));
       return;
     }
-    const double now = events.now();
-    const auto batch_size = static_cast<unsigned>(batch.size());
-    const core::RunResult& run = oracle->batch_run(t, batch_size);
+    const core::RunResult& run =
+        oracle->batch_run(t, static_cast<unsigned>(batch.size()));
+    report.ledger.merge(run.ledger);
+    const double end =
+        launch_batch(t, batch, run, run.latency_s, run.energy_j).second;
+    events.schedule_at(end, [this, t, b = std::move(batch)] {
+      complete(t, b);
+    });
+  }
 
-    double start = elastic_wake(t, now);
-    double resipi_window_s = 0.0;
-    if (config.arch == accel::Architecture::kSiph2p5D &&
-        run.resipi_reconfigurations > 0) {
-      if (resipi_holder != t && resipi_free_at > start) {
-        const double wait = resipi_free_at - start;
-        start += wait;
-        ts.report.resipi_wait_s += wait;
-        ts.report.resipi_conflicts += 1;
-        record_resipi_conflict(wait);
-      }
-      // The PCM writes happen inside the run (they are charged in its
-      // latency); the window only excludes *other* tenants' writes.
-      resipi_window_s =
-          std::min(run.latency_s,
-                   static_cast<double>(run.resipi_reconfigurations) *
-                       config.system.tech.photonic.pcm.write_time_s);
-      resipi_holder = t;
-      resipi_free_at = start + resipi_window_s;
-    }
+  /// Start one whole batch the caller has priced at `service_s` seconds
+  /// and `energy_j` joules; `run` is the run whose gateway configuration
+  /// it retunes to. Applies the wake and the ReSiPI window, charges busy
+  /// time and energy, records the batch, and returns its [start, end).
+  std::pair<double, double> launch_batch(std::size_t t,
+                                         const std::vector<Request>& batch,
+                                         const core::RunResult& run,
+                                         double service_s, double energy_j) {
+    TenantState& ts = tenants[t];
+    const auto batch_size = static_cast<unsigned>(batch.size());
+    double start = elastic_wake(t, events.now());
+    const double resipi_window_s = reserve_batch_window(t, run, start);
     // derate_mult is exactly 1.0 unless a drift fault fired, so the
     // multiply is bit-exact on the static path.
-    const double end = start + run.latency_s * derate_mult;
+    const double end = start + service_s * derate_mult;
     ts.est_free_s = end;
     if (ts.needs_shared) {
       note_shared_busy_until(ts.priority, end);
     }
-
-    for (const std::size_t c : ts.occupancy) {
-      report.chiplet_busy_s[c] += end - start;
-    }
-    ts.report.busy_s += end - start;
-    ts.report.energy_j += run.energy_j;
+    charge_busy(t, start, end);
+    ts.report.energy_j += energy_j;
     ts.report.batches += 1;
-    report.ledger.merge(run.ledger);
     if (DayPoint* bucket = curve_bucket(start)) {
-      bucket->energy_j += run.energy_j;
-    }
-    if (config.record_batches) {
-      BatchTrace trace;
-      trace.tenant = t;
-      trace.size = batch_size;
-      trace.start_s = start;
-      trace.end_s = end;
-      trace.chiplets = ts.occupancy;
-      trace.resipi_start_s = start;
-      trace.resipi_end_s = start + resipi_window_s;
-      report.batches.push_back(std::move(trace));
+      bucket->energy_j += energy_j;
     }
     if (rec != nullptr) {
       record_dispatch_metrics(batch_size, run);
-      record_batch_trace(t, batch, start, end, resipi_window_s);
+      record_batch_trace(t, batch, start, end);
     }
-    events.schedule_at(end, [this, t, b = std::move(batch)] {
-      complete(t, b);
-    });
+    record_batch(t, batch_size, start, end, resipi_window_s, ts.occupancy);
+    return {start, end};
   }
 
   /// Variable-length counterpart of begin_execution: the batch is priced
@@ -1176,7 +1222,6 @@ struct Engine {
   /// gateway configuration, so nothing retunes between iterations.
   void begin_execution_tokens(std::size_t t, std::vector<Request> batch) {
     TenantState& ts = tenants[t];
-    const double now = events.now();
     const auto batch_size = static_cast<unsigned>(batch.size());
     std::uint32_t pmax = 1;
     std::uint32_t dmax = 0;
@@ -1187,26 +1232,6 @@ struct Engine {
       footprint += footprint_bytes(ts, r.shape);
     }
     const core::RunResult& pre = oracle->prefill_run(t, batch_size, pmax);
-
-    double start = elastic_wake(t, now);
-    double resipi_window_s = 0.0;
-    if (config.arch == accel::Architecture::kSiph2p5D &&
-        pre.resipi_reconfigurations > 0) {
-      if (resipi_holder != t && resipi_free_at > start) {
-        const double wait = resipi_free_at - start;
-        start += wait;
-        ts.report.resipi_wait_s += wait;
-        ts.report.resipi_conflicts += 1;
-        record_resipi_conflict(wait);
-      }
-      resipi_window_s =
-          std::min(pre.latency_s,
-                   static_cast<double>(pre.resipi_reconfigurations) *
-                       config.system.tech.photonic.pcm.write_time_s);
-      resipi_holder = t;
-      resipi_free_at = start + resipi_window_s;
-    }
-
     double total_s = pre.latency_s;
     double energy_j = pre.energy_j;
     report.ledger.merge(pre.ledger);
@@ -1216,12 +1241,8 @@ struct Engine {
       energy_j += step.energy_j;
       report.ledger.merge(step.ledger);
     }
-    const double end = start + total_s * derate_mult;
+    const auto [start, end] = launch_batch(t, batch, pre, total_s, energy_j);
     const double prefill_end = start + pre.latency_s * derate_mult;
-    ts.est_free_s = end;
-    if (ts.needs_shared) {
-      note_shared_busy_until(ts.priority, end);
-    }
     kv_update(t, footprint, true);
     for (const Request& r : batch) {
       ts.ttfts.push_back(prefill_end - r.arrival_s);
@@ -1229,30 +1250,7 @@ struct Engine {
         rec->metrics().observe("serve.ttft", prefill_end - r.arrival_s);
       }
     }
-
-    for (const std::size_t c : ts.occupancy) {
-      report.chiplet_busy_s[c] += end - start;
-    }
-    ts.report.busy_s += end - start;
-    ts.report.energy_j += energy_j;
-    ts.report.batches += 1;
-    if (DayPoint* bucket = curve_bucket(start)) {
-      bucket->energy_j += energy_j;
-    }
-    if (config.record_batches) {
-      BatchTrace trace;
-      trace.tenant = t;
-      trace.size = batch_size;
-      trace.start_s = start;
-      trace.end_s = end;
-      trace.chiplets = ts.occupancy;
-      trace.resipi_start_s = start;
-      trace.resipi_end_s = start + resipi_window_s;
-      report.batches.push_back(std::move(trace));
-    }
     if (rec != nullptr) {
-      record_dispatch_metrics(batch_size, pre);
-      record_batch_trace(t, batch, start, end, resipi_window_s);
       record_phase_spans(t, start, prefill_end, end);
     }
     events.schedule_at(end, [this, t, b = std::move(batch)] {
@@ -1284,16 +1282,32 @@ struct Engine {
     return w;
   }
 
+  /// Completion bookkeeping shared by every execution path: latency
+  /// samples, counters, the day-curve bucket, observability, and one
+  /// closed-loop re-issue per response (issued before the caller
+  /// schedules anything else, which fixes event-queue tie order).
+  void retire_requests(std::size_t t, const std::vector<Request>& done,
+                       double now) {
+    TenantState& ts = tenants[t];
+    for (const Request& r : done) {
+      ts.latencies.push_back(now - r.arrival_s);
+    }
+    ts.report.completed += done.size();
+    if (DayPoint* bucket = curve_bucket(now)) {
+      bucket->completed += done.size();
+    }
+    if (rec != nullptr) {
+      record_completions(t, done, now);
+    }
+    for (std::size_t i = 0; i < done.size(); ++i) {
+      issue_closed(t);  // each response frees one closed-loop user
+    }
+    last_completion_s = std::max(last_completion_s, now);
+  }
+
   void complete(std::size_t t, const std::vector<Request>& batch) {
     TenantState& ts = tenants[t];
     const double now = events.now();
-    for (const Request& r : batch) {
-      ts.latencies.push_back(now - r.arrival_s);
-    }
-    ts.report.completed += batch.size();
-    if (DayPoint* bucket = curve_bucket(now)) {
-      bucket->completed += batch.size();
-    }
     if (ts.var_length) {
       std::uint64_t footprint = 0;
       for (const Request& r : batch) {
@@ -1302,17 +1316,11 @@ struct Engine {
       }
       kv_update(t, footprint, false);
     }
-    if (rec != nullptr) {
-      record_completions(t, batch, now);
-    }
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      issue_closed(t);  // each response frees one closed-loop user
-    }
+    retire_requests(t, batch, now);
     ts.busy = false;
     if (config.elastic.gate) {
       ts.idle_since_s = now;  // closed (or re-measured) at the next dispatch
     }
-    last_completion_s = std::max(last_completion_s, now);
     if (ts.holds_shared) {
       // Release the shared pool; grant priority-first (FIFO in class).
       // Keyed on holds_shared, not needs_shared: a re-partition may have
@@ -1413,22 +1421,7 @@ struct Engine {
                                 pmax);
       // The prefill retunes gateways exactly like a batch dispatch;
       // decode iterations reuse the configuration and never retune.
-      if (config.arch == accel::Architecture::kSiph2p5D &&
-          run->resipi_reconfigurations > 0) {
-        if (resipi_holder != t && resipi_free_at > start) {
-          const double wait = resipi_free_at - start;
-          start += wait;
-          ts.report.resipi_wait_s += wait;
-          ts.report.resipi_conflicts += 1;
-          record_resipi_conflict(wait);
-        }
-        resipi_window_s =
-            std::min(run->latency_s,
-                     static_cast<double>(run->resipi_reconfigurations) *
-                         config.system.tech.photonic.pcm.write_time_s);
-        resipi_holder = t;
-        resipi_free_at = start + resipi_window_s;
-      }
+      resipi_window_s = reserve_batch_window(t, *run, start);
       ts.report.batches += 1;  // one dispatch group per prefill iteration
       if (rec != nullptr) {
         record_dispatch_metrics(static_cast<unsigned>(fresh.size()), *run);
@@ -1459,42 +1452,22 @@ struct Engine {
       // tenant's whole open-ended decode horizon.
       note_shared_busy_until(ts.priority, end);
     }
-    for (const std::size_t c : ts.occupancy) {
-      report.chiplet_busy_s[c] += end - start;
-    }
-    ts.report.busy_s += end - start;
+    charge_busy(t, start, end);
     ts.energy_accum_j += run->energy_j;
     report.ledger.merge(run->ledger);
     if (DayPoint* bucket = curve_bucket(start)) {
       bucket->energy_j += run->energy_j;
     }
-    if (config.record_batches) {
-      BatchTrace trace;
-      trace.tenant = t;
-      trace.size = static_cast<unsigned>(prefill_phase ? fresh.size()
-                                                       : ts.active.size());
-      trace.start_s = start;
-      trace.end_s = end;
-      trace.chiplets = ts.occupancy;
-      trace.resipi_start_s = start;
-      trace.resipi_end_s = start + resipi_window_s;
-      report.batches.push_back(std::move(trace));
-    }
+    const auto size =
+        static_cast<unsigned>(prefill_phase ? fresh.size() : ts.active.size());
     if (rec != nullptr && rec->tracing()) {
       rec->trace().add_complete(
           prefill_phase ? "prefill" : "decode", "phase", start, end, pid,
           exec_tracks[t],
           {obs::arg("tenant", ts.report.name),
-           obs::arg("size", static_cast<std::uint64_t>(
-                                prefill_phase ? fresh.size()
-                                              : ts.active.size()))});
-      if (resipi_window_s > 0.0) {
-        rec->trace().add_complete("retune", "resipi", start,
-                                  start + resipi_window_s, pid, resipi_track,
-                                  {obs::arg("tenant", ts.report.name),
-                                   obs::arg("kind", "batch_window")});
-      }
+           obs::arg("size", static_cast<std::uint64_t>(size))});
     }
+    record_batch(t, size, start, end, resipi_window_s, ts.occupancy);
     ts.iter_running = true;
     events.schedule_at(end, [this, t, f = std::move(fresh)] {
       end_cont_iteration(t, f);
@@ -1541,21 +1514,8 @@ struct Engine {
       }
     }
     if (!done.empty()) {
-      for (const Request& r : done) {
-        ts.latencies.push_back(now - r.arrival_s);
-      }
-      ts.report.completed += done.size();
-      if (DayPoint* bucket = curve_bucket(now)) {
-        bucket->completed += done.size();
-      }
       kv_update(t, released, false);
-      if (rec != nullptr) {
-        record_completions(t, done, now);
-      }
-      for (std::size_t i = 0; i < done.size(); ++i) {
-        issue_closed(t);  // each response frees one closed-loop user
-      }
-      last_completion_s = std::max(last_completion_s, now);
+      retire_requests(t, done, now);
     }
     if (ts.holds_shared) {
       ts.holds_shared = false;
@@ -1673,26 +1633,8 @@ struct Engine {
     double resipi_window_s = 0.0;
     if (b->stage == 0) {
       const core::RunResult& run = oracle->batch_run(t, batch_size);
-      // The batch's own reconfiguration window, as in batch-granular mode:
-      // the PCM writes are charged inside the run's latency; the window
-      // only excludes *other* tenants' writes.
-      if (siph && run.resipi_reconfigurations > 0) {
-        if (resipi_holder != t && resipi_free_at > start) {
-          const double wait = resipi_free_at - start;
-          start += wait;
-          ts.report.resipi_wait_s += wait;
-          ts.report.resipi_conflicts += 1;
-          record_resipi_conflict(wait);
-        }
-        resipi_window_s =
-            std::min(run.latency_s,
-                     static_cast<double>(run.resipi_reconfigurations) *
-                         config.system.tech.photonic.pcm.write_time_s);
-        resipi_holder = t;
-        // Several of this tenant's batches can be in flight: never roll
-        // an earlier, longer reservation backwards.
-        resipi_free_at = std::max(resipi_free_at, start + resipi_window_s);
-      }
+      // The batch's own reconfiguration window, as in batch-granular mode.
+      resipi_window_s = reserve_batch_window(t, run, start);
       ts.report.energy_j += run.energy_j;
       ts.report.batches += 1;
       report.ledger.merge(run.ledger);
@@ -1715,18 +1657,8 @@ struct Engine {
       // Cross-tenant handoff of the scarce group: retune its gateways for
       // the new tenant — one PCM write window, serialized on the shared
       // interposer like any other reconfiguration.
-      if (resipi_holder != t && resipi_free_at > start) {
-        const double wait = resipi_free_at - start;
-        start += wait;
-        ts.report.resipi_wait_s += wait;
-        ts.report.resipi_conflicts += 1;
-        record_resipi_conflict(wait);
-      }
       handoff_s = config.system.tech.photonic.pcm.write_time_s;
-      resipi_holder = t;
-      // A stage-0 shared handoff may follow the batch window set above;
-      // the interposer stays reserved until the *later* of the two.
-      resipi_free_at = std::max(resipi_free_at, start + handoff_s);
+      start = resipi_reserve(t, start, handoff_s);
       ts.report.shared_handoffs += 1;
       ts.report.handoff_resipi_s += handoff_s;
       if (rec != nullptr && rec->metering()) {
@@ -1754,31 +1686,15 @@ struct Engine {
       note_shared_busy_until(ts.priority, end);
     }
 
-    // Busy accounting keeps batch-granular executor semantics (the whole
-    // occupancy is "this tenant's executor working"), so utilization is
-    // comparable across modes; the trace below audits the stage's actual
-    // physical lock instead.
-    for (const std::size_t c : ts.occupancy) {
-      report.chiplet_busy_s[c] += end - start;
-    }
-    ts.report.busy_s += end - start;
-    if (config.record_batches) {
-      BatchTrace trace;
-      trace.tenant = t;
-      trace.size = batch_size;
-      trace.start_s = start;
-      trace.end_s = end;
-      trace.chiplets = r.chiplets;
-      trace.resipi_start_s = start;
-      trace.resipi_end_s = start + resipi_window_s;
-      trace.first_layer = s.first_layer;
-      trace.layer_count = s.layer_count;
-      trace.batch_id = b->id;
-      report.batches.push_back(std::move(trace));
-    }
+    // Busy time is charged to the whole occupancy; the batch record audits
+    // the stage's actual physical lock instead.
+    charge_busy(t, start, end);
     if (rec != nullptr) {
-      record_stage_trace(*b, s, start, end, resipi_window_s, handoff_s);
+      record_stage_trace(*b, s, start, end);
     }
+    const char* retune_kind = handoff_s > 0.0 ? "handoff" : "batch_window";
+    record_batch(t, batch_size, start, end, resipi_window_s, r.chiplets,
+                 b.get(), retune_kind);
     events.schedule_at(end, [this, b = std::move(b)]() mutable {
       end_stage(std::move(b));
     });
@@ -1838,23 +1754,8 @@ struct Engine {
   }
 
   void complete_layer_batch(std::shared_ptr<InFlightBatch> b) {
-    TenantState& ts = tenants[b->tenant];
-    const double now = events.now();
-    for (const Request& r : b->requests) {
-      ts.latencies.push_back(now - r.arrival_s);
-    }
-    ts.report.completed += b->requests.size();
-    if (DayPoint* bucket = curve_bucket(now)) {
-      bucket->completed += b->requests.size();
-    }
-    if (rec != nullptr) {
-      record_completions(b->tenant, b->requests, now);
-    }
-    for (std::size_t i = 0; i < b->requests.size(); ++i) {
-      issue_closed(b->tenant);  // each response frees one closed-loop user
-    }
-    ts.inflight -= 1;
-    last_completion_s = std::max(last_completion_s, now);
+    retire_requests(b->tenant, b->requests, events.now());
+    tenants[b->tenant].inflight -= 1;
     try_dispatch(b->tenant);
   }
 };
@@ -1887,38 +1788,14 @@ void finalize_tenant(TenantState& ts, double makespan_s) {
   r.energy_j += ts.energy_accum_j;  // the still-open busy period's fold
   ts.energy_accum_j = 0.0;
   if (makespan_s > 0.0) {
-    r.throughput_rps = static_cast<double>(r.completed) / makespan_s;
     // Layer-granular overlap sums concurrent stage intervals into busy_s,
     // so the executor's busy fraction saturates at 1 (mirrors the
     // per-chiplet clamp in the pool metric).
     r.utilization = std::min(r.busy_s, makespan_s) / makespan_s;
   }
-  std::uint64_t violations = 0;
-  if (!ts.latencies.empty()) {
-    double sum = 0.0;
-    for (const double l : ts.latencies) {
-      sum += l;
-      r.max_latency_s = std::max(r.max_latency_s, l);
-      violations += l > r.sla_s ? 1 : 0;
-    }
-    r.mean_latency_s = sum / static_cast<double>(ts.latencies.size());
-    r.p50_s = exact_quantile(ts.latencies, 0.50);
-    r.p95_s = exact_quantile(ts.latencies, 0.95);
-    r.p99_s = exact_quantile(ts.latencies, 0.99);
-    r.sla_violation_rate = static_cast<double>(violations) /
-                           static_cast<double>(ts.latencies.size());
-  }
-  if (makespan_s > 0.0) {
-    // Every completion records one latency, so completed - violations is
-    // exactly the SLA-met count.
-    r.goodput_rps =
-        static_cast<double>(r.completed - violations) / makespan_s;
-  }
-  if (r.completed > 0) {
-    r.energy_per_request_j = r.energy_j / static_cast<double>(r.completed);
-    r.mean_batch = static_cast<double>(r.completed) /
-                   static_cast<double>(std::max<std::uint64_t>(r.batches, 1));
-  }
+  LatencyPool pool;
+  pool.add(r, ts.latencies);
+  pool.summarize(r, makespan_s);
   if (ts.var_length) {
     r.ttft_p99_s = exact_quantile(ts.ttfts, 0.99);
     if (makespan_s > 0.0) {
@@ -1957,14 +1834,14 @@ ColocatedSetup make_colocated_setup(const core::SystemConfig& system,
   // Service-time oracle: each tenant simulates on its own partition.
   setup.oracle_tenants.reserve(model_names.size());
   for (std::size_t t = 0; t < model_names.size(); ++t) {
-    ServiceTimeOracle::Tenant ot{setup.models[t], system};
+    // Transformer models carry their spec so the oracle can price
+    // variable-length phases (prefill/decode graphs per token count).
+    ServiceTimeOracle::Tenant ot{
+        setup.models[t], system,
+        dnn::ModelRegistry::instance().at(model_names[t]).transformer};
     if (!monolithic) {
       ot.config.compute_2p5d = setup.plan.tenants[t].platform;
     }
-    // Transformer models carry their spec so the oracle can price
-    // variable-length phases (prefill/decode graphs per token count).
-    ot.transformer =
-        dnn::ModelRegistry::instance().at(model_names[t]).transformer;
     setup.oracle_tenants.push_back(std::move(ot));
   }
   return setup;
@@ -2358,13 +2235,9 @@ ServingReport simulate(const ServingConfig& config) {
   m.sim_events = engine.events.processed();
   m.sim_event_queue_peak = engine.events.peak_size();
 
-  std::vector<double> all_latencies;
   std::vector<double> all_ttfts;
-  std::uint64_t violations = 0;
   std::uint64_t batches = 0;
-  std::map<unsigned, ClassReport> classes;
-  std::map<unsigned, std::vector<double>> class_latencies;
-  std::map<unsigned, std::uint64_t> class_violations;
+  LatencyPool pool;
   for (std::size_t t = 0; t < engine.tenants.size(); ++t) {
     TenantState& ts = engine.tenants[t];
     finalize_tenant(ts, makespan);
@@ -2384,21 +2257,7 @@ ServingReport simulate(const ServingConfig& config) {
     m.gated_idle_s += ts.report.gated_idle_s;
     all_ttfts.insert(all_ttfts.end(), ts.ttfts.begin(), ts.ttfts.end());
     batches += ts.report.batches;
-    ClassReport& cls = classes[ts.priority];
-    cls.priority = ts.priority;
-    cls.offered += ts.report.offered;
-    cls.completed += ts.report.completed;
-    cls.shed += ts.report.shed;
-    cls.abandoned += ts.report.abandoned;
-    std::vector<double>& cls_lat = class_latencies[ts.priority];
-    cls_lat.insert(cls_lat.end(), ts.latencies.begin(), ts.latencies.end());
-    for (const double l : ts.latencies) {
-      const std::uint64_t violated = l > ts.report.sla_s ? 1 : 0;
-      violations += violated;
-      class_violations[ts.priority] += violated;
-    }
-    all_latencies.insert(all_latencies.end(), ts.latencies.begin(),
-                         ts.latencies.end());
+    pool.add(ts.report, ts.latencies);
     out.tenants.push_back(ts.report);
     out.tenant_latencies.push_back(std::move(ts.latencies));
   }
@@ -2407,44 +2266,11 @@ ServingReport simulate(const ServingConfig& config) {
   OPTIPLET_ASSERT(
       m.offered == m.completed + m.shed + m.abandoned,
       "serving lost requests: offered != completed + shed + abandoned");
-  for (auto& [priority, cls] : classes) {
-    const std::vector<double>& lat = class_latencies[priority];
-    if (!lat.empty()) {
-      cls.p99_s = exact_quantile(lat, 0.99);
-      cls.sla_violation_rate =
-          static_cast<double>(class_violations[priority]) /
-          static_cast<double>(lat.size());
-    }
-    if (makespan > 0.0) {
-      cls.goodput_rps = static_cast<double>(cls.completed -
-                                            class_violations[priority]) /
-                        makespan;
-    }
-    out.classes.push_back(cls);  // std::map iterates classes ascending
-  }
-  if (!out.classes.empty()) {
-    m.p99_hi_s = out.classes.front().p99_s;
-    m.p99_lo_s = out.classes.back().p99_s;
-  }
-  if (!all_latencies.empty()) {
-    double sum = 0.0;
-    for (const double l : all_latencies) {
-      sum += l;
-      m.max_latency_s = std::max(m.max_latency_s, l);
-    }
-    m.mean_latency_s = sum / static_cast<double>(all_latencies.size());
-    m.p50_s = exact_quantile(all_latencies, 0.50);
-    m.p95_s = exact_quantile(all_latencies, 0.95);
-    m.p99_s = exact_quantile(all_latencies, 0.99);
-    m.sla_violation_rate = static_cast<double>(violations) /
-                           static_cast<double>(all_latencies.size());
-  }
+  out.classes = pool.classes(makespan);
   if (!all_ttfts.empty()) {
     m.ttft_p99_s = exact_quantile(std::move(all_ttfts), 0.99);
   }
   if (makespan > 0.0) {
-    m.throughput_rps = static_cast<double>(m.completed) / makespan;
-    m.goodput_rps = static_cast<double>(m.completed - violations) / makespan;
     // Idle static burn of the whole pool between batches.
     double busy_fraction_sum = 0.0;
     for (std::size_t c = 0; c < out.chiplet_busy_s.size(); ++c) {
@@ -2474,11 +2300,7 @@ ServingReport simulate(const ServingConfig& config) {
   if (idle_it != out.ledger.entries().end()) {
     m.energy_j += idle_it->second.dynamic_energy_j;
   }
-  if (m.completed > 0) {
-    m.energy_per_request_j = m.energy_j / static_cast<double>(m.completed);
-    m.mean_batch = static_cast<double>(m.completed) /
-                   static_cast<double>(std::max<std::uint64_t>(batches, 1));
-  }
+  pool.summarize(m, batches, makespan);
   // Carbon proxy: total energy priced at the grid intensity [g CO2/kWh],
   // optionally sinusoidal over the diurnal period (J -> kWh is / 3.6e6).
   const auto intensity_gpkwh = [&config](double t) {
@@ -2581,7 +2403,7 @@ ServingConfig make_serving_config(const core::SystemConfig& base,
     const auto copies =
         static_cast<std::size_t>(std::count(mix.begin(), mix.end(), mix[i]));
     if (copies > 1) {
-      tenant.name += "#" + std::to_string(i);
+      tenant.name.append("#").append(std::to_string(i));
     }
     tenant.arrival_rps = spec.arrival_rps / static_cast<double>(n);
     tenant.requests =

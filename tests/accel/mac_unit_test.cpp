@@ -65,7 +65,7 @@ TEST(MacUnit, StaticPowerScalesWithSize) {
 TEST(MacUnit, RejectsInvalidReuse) {
   const power::ComputeTech tech;
   const PhotonicMacUnit unit(MacKind::kConv3, tech);
-  EXPECT_THROW(unit.energy_per_symbol_j(0.5), std::invalid_argument);
+  EXPECT_THROW((void)unit.energy_per_symbol_j(0.5), std::invalid_argument);
 }
 
 TEST(MacUnit, KindNamesAreStable) {

@@ -45,7 +45,9 @@ TEST(Transformer, CausalAttentionMacAccounting) {
   // positions, so attended = S(S+1)/2; QK^T and AV each cost d MACs per
   // attended position.
   const std::uint32_t S = 96;
-  for (const Layer* attn : attention_layers(make_prefill_graph(spec, S))) {
+  // Named models: the layer pointers must not outlive a temporary.
+  const Model prefill = make_prefill_graph(spec, S);
+  for (const Layer* attn : attention_layers(prefill)) {
     EXPECT_EQ(attn->mac_count,
               2ull * (static_cast<std::uint64_t>(S) * (S + 1) / 2) * d);
     EXPECT_EQ(attn->extra_stream_values, 0u);
@@ -53,7 +55,8 @@ TEST(Transformer, CausalAttentionMacAccounting) {
   }
   // Decode: one fresh token over `kv` cached positions attends kv + 1.
   const std::uint32_t kv = 200;
-  for (const Layer* attn : attention_layers(make_decode_graph(spec, kv))) {
+  const Model decode = make_decode_graph(spec, kv);
+  for (const Layer* attn : attention_layers(decode)) {
     EXPECT_EQ(attn->mac_count, 2ull * (kv + 1) * d);
     // The cached K and V vectors stream in from memory.
     EXPECT_EQ(attn->extra_stream_values, 2ull * kv * d);

@@ -1,12 +1,18 @@
 /// End-to-end observability contract of the serving simulator: span
 /// schema, request-span reconciliation against the report, nesting,
-/// shed-reason tagging, rack/lone trace equivalence, and the guarantee
-/// that attaching a recorder never changes results.
+/// shed-reason tagging, rack/lone trace equivalence, the guarantee that
+/// attaching a recorder never changes results, and a documentation entry
+/// in docs/observability.md for every span and series name emitted.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <map>
+#include <set>
+#include <sstream>
 #include <string>
 
 #include "cluster/cluster_simulator.hpp"
@@ -217,6 +223,143 @@ TEST(ServingTrace, AttachingARecorderNeverChangesResults) {
   EXPECT_EQ(with.metrics.mean_batch, without.metrics.mean_batch);
   // The snapshot timer is the one permitted event-count delta.
   EXPECT_GE(with.metrics.sim_events, without.metrics.sim_events);
+}
+
+/// Every `backticked` token of a markdown file.
+std::set<std::string> backticked(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot read " << path;
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::set<std::string> tokens;
+  for (std::size_t open = text.find('`'); open != std::string::npos;) {
+    const std::size_t close = text.find('`', open + 1);
+    if (close == std::string::npos) {
+      break;
+    }
+    tokens.insert(text.substr(open + 1, close - open - 1));
+    open = text.find('`', close + 1);
+  }
+  return tokens;
+}
+
+/// The documented base name of an emitted series: the rack's `p<k>.`
+/// package prefix and the snapshot suffixes stripped, and per-class
+/// latency histograms folded into `serve.class<p>.latency`.
+std::string series_base(std::string name) {
+  if (name.size() > 1 && name[0] == 'p' && name[1] >= '0' && name[1] <= '9') {
+    name.erase(0, name.find('.') + 1);
+  }
+  for (const char* suffix : {".rate", ".count", ".mean", ".p50", ".p99"}) {
+    if (name.ends_with(suffix)) {
+      name.resize(name.size() - std::strlen(suffix));
+      break;
+    }
+  }
+  if (name.starts_with("serve.class") && name.ends_with(".latency")) {
+    return "serve.class<p>.latency";
+  }
+  return name;
+}
+
+/// Names of `recorder` missing from the doc, one per line.
+std::string undocumented(const Recorder& recorder,
+                         const std::set<std::string>& doc) {
+  std::set<std::string> missing;
+  for (const TraceEvent& e : recorder.trace().events()) {
+    if (!doc.contains(e.name)) {
+      missing.insert("span " + e.name);
+    }
+  }
+  for (const MetricSample& sample : recorder.metrics().samples()) {
+    const std::string base = series_base(sample.series);
+    if (!doc.contains(base)) {
+      missing.insert("series " + base);
+    }
+  }
+  std::ostringstream out;
+  for (const std::string& m : missing) {
+    out << m << "\n";
+  }
+  return out.str();
+}
+
+TEST(ServingTrace, EveryEmittedNameIsDocumented) {
+  const std::set<std::string> doc =
+      backticked(std::string(OPTIPLET_SOURCE_DIR) + "/docs/observability.md");
+  ASSERT_FALSE(doc.empty());
+
+  // Fixed-shape: batch-granular with shedding, and layer-granular with
+  // shared-group handoffs.
+  serve::ServingSpec fixed;
+  fixed.tenant_mix = "ResNet50+DenseNet121";
+  fixed.arrival_rps = 2000.0;
+  fixed.requests = 60;
+  fixed.admission = serve::AdmissionPolicy::kSlaShed;
+  for (const auto mode : {serve::PipelineMode::kBatchGranular,
+                          serve::PipelineMode::kLayerGranular}) {
+    fixed.pipeline = mode;
+    Recorder recorder;
+    (void)run_with(fixed, &recorder);
+    EXPECT_EQ(undocumented(recorder, doc), "") << to_string(mode);
+  }
+
+  // Transformer, continuous batching.
+  serve::ServingSpec tokens;
+  tokens.tenant_mix = "TinyGPT";
+  tokens.arrival_rps = 400.0;
+  tokens.requests = 40;
+  tokens.policy = serve::BatchPolicy::kContinuous;
+  tokens.prefill_tokens = 32;
+  tokens.decode_tokens = 8;
+  {
+    Recorder recorder;
+    (void)run_with(tokens, &recorder);
+    EXPECT_EQ(undocumented(recorder, doc), "") << "continuous";
+  }
+
+  // Elastic: re-partitioning, a chiplet fault, client retry, gating.
+  serve::ServingSpec elastic;
+  elastic.tenant_mix = "LeNet5+MobileNetV2";
+  elastic.arrival_rps = 3000.0;
+  elastic.requests = 400;
+  elastic.policy = serve::BatchPolicy::kDeadline;
+  elastic.admission = serve::AdmissionPolicy::kSlaShed;
+  elastic.sla_s = 2.0e-3;
+  elastic.elastic.shift_threshold = 0.05;
+  elastic.elastic.ema_tau_s = 0.05;
+  elastic.elastic.cooldown_s = 0.05;
+  elastic.elastic.gate = true;
+  elastic.elastic.gate_after_s = 1.0e-4;
+  elastic.elastic.wake_s = 1.0e-5;
+  elastic.elastic.retry_max_attempts = 2;
+  elastic.elastic.retry_backoff_s = 1.0e-3;
+  elastic.elastic.faults.push_back({0.06, 2, 1.0, -1});
+  {
+    Recorder recorder;
+    const serve::ServingReport report = run_with(elastic, &recorder);
+    ASSERT_GT(report.metrics.abandoned, 0u);
+    ASSERT_GT(report.metrics.gate_events, 0u);
+    EXPECT_EQ(undocumented(recorder, doc), "") << "elastic";
+  }
+
+  // A 2-package rack: package-prefixed series and frontend transfers.
+  cluster::ClusterConfig rack;
+  rack.system = core::default_system_config();
+  rack.serving.tenant_mix = "LeNet5+MobileNetV2";
+  rack.serving.arrival_rps = 4000.0;
+  rack.serving.requests = 200;
+  rack.cluster.packages = 2;
+  rack.cluster.replication = 2;
+  rack.cluster.balancer = cluster::BalancerPolicy::kRoundRobin;
+  rack.threads = 1;
+  {
+    Recorder recorder;
+    rack.recorder = &recorder;
+    const cluster::ClusterReport report = cluster::simulate(rack);
+    ASSERT_GT(report.metrics.transfers, 0u);
+    EXPECT_EQ(undocumented(recorder, doc), "") << "rack";
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 namespace optiplet::serve {
 namespace {
@@ -89,6 +90,19 @@ TEST_F(TraceFile, RejectsMissingColumnAndBadValues) {
   EXPECT_THROW(load_arrival_trace(path_), std::invalid_argument);
   write("arrival_s\n-1.0\n");
   EXPECT_THROW(load_arrival_trace(path_), std::invalid_argument);
+  // Non-finite times parse as doubles but must fail here, naming the
+  // value, not later inside the event queue or the energy ledger.
+  for (const char* bad : {"nan", "inf"}) {
+    write(std::string("arrival_s\n1e-3\n") + bad + "\n");
+    try {
+      (void)load_arrival_trace(path_);
+      ADD_FAILURE() << "accepted arrival_s = " << bad;
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(bad), std::string::npos) << message;
+      EXPECT_NE(message.find(path_), std::string::npos) << message;
+    }
+  }
   EXPECT_THROW(load_arrival_trace("/no/such/trace.csv"),
                std::invalid_argument);
 }

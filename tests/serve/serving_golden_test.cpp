@@ -5,10 +5,11 @@
 /// batching with shedding and priority classes (plus a colliding-window
 /// pair for the ReSiPI wait), layer-granular pipelining with shared-group
 /// handoffs, variable-length size batching, continuous batching under a
-/// closed loop, full elastic operation, and a replicated rack — is run and every field of ServingMetrics, TenantReport,
-/// ClassReport, DayPoint and ClusterMetrics is compared bit for bit
-/// against recorded values (hex-float literals, so a mismatch names the
-/// field and both exact values). Digests additionally pin the per-batch
+/// closed loop, full elastic operation, and a replicated rack — is run,
+/// and every field of ServingMetrics, TenantReport, ClassReport, DayPoint
+/// and ClusterMetrics is compared bit for bit against recorded values
+/// (hex-float literals, so a mismatch names the field and both exact
+/// values). Digests additionally pin the per-batch
 /// trace, the raw latency samples, the per-chiplet busy time and the
 /// energy ledger.
 ///
@@ -22,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <cstdio>
@@ -73,6 +73,7 @@ class Digest {
 /// A report flattened to named numeric fields plus named digests.
 class Flat {
  public:
+  using Digests = std::vector<std::pair<std::string, std::uint64_t>>;
   struct Entry {
     std::string field;
     double value = 0.0;
@@ -93,15 +94,12 @@ class Flat {
   [[nodiscard]] const std::string& prefix() const { return prefix_; }
 
   [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
-  [[nodiscard]] const std::vector<std::pair<std::string, std::uint64_t>>&
-  digests() const {
-    return digests_;
-  }
+  [[nodiscard]] const Digests& digests() const { return digests_; }
 
  private:
   std::string prefix_;
   std::vector<Entry> entries_;
-  std::vector<std::pair<std::string, std::uint64_t>> digests_;
+  Digests digests_;
 };
 
 #define GOLDEN_FIELD(f) flat.add(#f, x.f)
@@ -346,9 +344,8 @@ void expect_golden(const Flat& flat, const char* name,
 }
 
 ServingReport run(const ServingSpec& spec) {
-  ServingConfig config = make_serving_config(core::default_system_config(),
-                                             accel::Architecture::kSiph2p5D,
-                                             spec);
+  ServingConfig config = make_serving_config(
+      core::default_system_config(), accel::Architecture::kSiph2p5D, spec);
   config.record_batches = true;
   return simulate(config);
 }
@@ -403,7 +400,7 @@ ServingSpec layer_handoff_spec() {
 }
 
 /// Two variable-length tenants under size batching with spread token
-/// shapes: the per-phase pricing path, contending for the ReSiPI window.
+/// shapes: the per-phase (prefill + decode steps) pricing path.
 ServingSpec token_size_spec() {
   ServingSpec spec;
   spec.tenant_mix = "TinyGPT+TinyGPT";
