@@ -197,8 +197,10 @@ int main() {
     };
 
     for (const bool attached : {false, true}) {
-      obs::Recorder recorder(
-          obs::RecorderOptions{.trace = false, .metrics = false});
+      obs::RecorderOptions idle;
+      idle.trace = false;
+      idle.metrics = false;
+      obs::Recorder recorder(idle);
       const auto [wall_s, report] =
           best_of(attached ? &recorder : nullptr);
       const auto& m = report.metrics;

@@ -1,25 +1,20 @@
 #include "engine/result_store.hpp"
 
 #include <map>
-#include <sstream>
 
 #include "util/csv.hpp"
+#include "util/strings.hpp"
 #include "util/table.hpp"
 
 namespace optiplet::engine {
 namespace {
 
 std::string overrides_to_string(const ScenarioSpec& spec) {
-  std::ostringstream os;
-  bool first = true;
+  std::vector<std::string> parts;
   for (const auto& [name, value] : spec.overrides) {
-    if (!first) {
-      os << ' ';
-    }
-    os << name << '=' << value;
-    first = false;
+    parts.push_back(name + '=' + util::format_general(value));
   }
-  return os.str();
+  return util::join(parts, " ");
 }
 
 }  // namespace

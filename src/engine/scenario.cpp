@@ -4,6 +4,7 @@
 #include <array>
 #include <functional>
 #include <sstream>
+#include <type_traits>
 
 #include "dnn/zoo.hpp"
 #include "noc/photonic_interposer.hpp"
@@ -218,39 +219,134 @@ bool feasible(const ScenarioSpec& spec, const core::SystemConfig& base) {
   return probe.link_budget_feasible();
 }
 
+namespace {
+
+/// The spec block a sweep axis fills. A non-empty serving axis switches
+/// the grid to serving mode, a non-empty cluster axis to cluster mode
+/// (which implies serving mode); shape axes fill the first-class fields.
+enum class Block { kShape, kServing, kCluster };
+
+/// One sweep axis: the block it fills, its value count in a grid, and how
+/// the grid's i-th value imprints a spec. Imprinting only assigns, so a
+/// spec can move from one combination to the next axis by axis.
+struct Axis {
+  Block block;
+  std::function<std::size_t(const ScenarioGrid&)> size;
+  std::function<void(const ScenarioGrid&, std::size_t, ScenarioSpec&)>
+      imprint;
+};
+
+/// An axis over the grid vector `values`; `set` imprints one value.
+template <typename T>
+Axis axis(Block block, std::vector<T> ScenarioGrid::*values,
+          void (*set)(ScenarioSpec&, const std::type_identity_t<T>&)) {
+  return {block,
+          [values](const ScenarioGrid& grid) { return (grid.*values).size(); },
+          [values, set](const ScenarioGrid& grid, std::size_t i,
+                        ScenarioSpec& spec) { set(spec, (grid.*values)[i]); }};
+}
+
+/// Every grid axis but the override axes and the architecture and model
+/// loops, outermost first: the nesting order scenario.hpp documents. An
+/// empty axis contributes no row, so the spec keeps the base
+/// configuration's value or the one in serving_defaults/cluster_defaults.
+const std::vector<Axis>& axis_table() {
+  static const std::vector<Axis> table = {
+      axis(Block::kShape, &ScenarioGrid::fidelities,
+           [](ScenarioSpec& s, const auto& v) { s.fidelity = v; }),
+      axis(Block::kShape, &ScenarioGrid::wavelengths,
+           [](ScenarioSpec& s, const auto& v) { s.wavelengths = v; }),
+      axis(Block::kShape, &ScenarioGrid::gateways_per_chiplet,
+           [](ScenarioSpec& s, const auto& v) { s.gateways_per_chiplet = v; }),
+      axis(Block::kShape, &ScenarioGrid::modulations,
+           [](ScenarioSpec& s, const auto& v) { s.modulation = v; }),
+      axis(Block::kShape, &ScenarioGrid::batch_sizes,
+           [](ScenarioSpec& s, const auto& v) { s.batch_size = v; }),
+      axis(Block::kServing, &ScenarioGrid::arrival_rates_rps,
+           [](ScenarioSpec& s, const auto& v) { s.serving->arrival_rps = v; }),
+      axis(Block::kServing, &ScenarioGrid::batch_policies,
+           [](ScenarioSpec& s, const auto& v) { s.serving->policy = v; }),
+      axis(Block::kServing, &ScenarioGrid::pipeline_modes,
+           [](ScenarioSpec& s, const auto& v) { s.serving->pipeline = v; }),
+      axis(Block::kServing, &ScenarioGrid::arrival_sources,
+           [](ScenarioSpec& s, const auto& v) { s.serving->source = v; }),
+      axis(Block::kServing, &ScenarioGrid::user_counts,
+           [](ScenarioSpec& s, const auto& v) { s.serving->users = v; }),
+      axis(Block::kServing, &ScenarioGrid::admission_policies,
+           [](ScenarioSpec& s, const auto& v) { s.serving->admission = v; }),
+      axis(Block::kServing, &ScenarioGrid::prefill_token_counts,
+           [](ScenarioSpec& s, const auto& v) {
+             s.serving->prefill_tokens = v;
+           }),
+      axis(Block::kServing, &ScenarioGrid::decode_token_counts,
+           [](ScenarioSpec& s, const auto& v) {
+             s.serving->decode_tokens = v;
+           }),
+      axis(Block::kServing, &ScenarioGrid::elastic_policies,
+           [](ScenarioSpec& s, const std::string& policy) {
+             const std::optional<serve::ElasticSpec> parsed =
+                 serve::elastic_from_string(policy);
+             OPTIPLET_REQUIRE(parsed.has_value(),
+                              "unparseable elastic policy: " + policy);
+             s.serving->elastic = *parsed;
+           }),
+      axis(Block::kCluster, &ScenarioGrid::package_counts,
+           [](ScenarioSpec& s, const auto& v) { s.cluster->packages = v; }),
+      axis(Block::kCluster, &ScenarioGrid::balancer_policies,
+           [](ScenarioSpec& s, const auto& v) { s.cluster->balancer = v; }),
+      axis(Block::kCluster, &ScenarioGrid::replication_factors,
+           [](ScenarioSpec& s, const auto& v) { s.cluster->replication = v; }),
+  };
+  return table;
+}
+
+/// The j-th override axis as a row: it fills the j-th override slot.
+Axis override_axis(std::size_t j) {
+  return {Block::kShape,
+          [j](const ScenarioGrid& grid) {
+            return grid.override_axes[j].second.size();
+          },
+          [j](const ScenarioGrid& grid, std::size_t i, ScenarioSpec& spec) {
+            const auto& [name, values] = grid.override_axes[j];
+            spec.overrides[j] = {name, values[i]};
+          }};
+}
+
+bool fills(const ScenarioGrid& grid, Block block) {
+  const std::vector<Axis>& table = axis_table();
+  return std::any_of(table.begin(), table.end(), [&](const Axis& a) {
+    return a.block == block && a.size(grid) > 0;
+  });
+}
+
+}  // namespace
+
+bool ScenarioGrid::cluster_mode() const {
+  return fills(*this, Block::kCluster);
+}
+
+bool ScenarioGrid::serving_mode() const {
+  return cluster_mode() || !tenant_mixes.empty() ||
+         fills(*this, Block::kServing);
+}
+
 std::size_t ScenarioGrid::raw_size() const {
-  const auto axis = [](std::size_t n) { return n == 0 ? std::size_t{1} : n; };
-  std::size_t size = axis(models.empty() ? dnn::zoo::model_names().size()
-                                         : models.size());
-  size *= axis(architectures.size());
-  size *= axis(batch_sizes.size());
-  size *= axis(wavelengths.size());
-  size *= axis(gateways_per_chiplet.size());
-  size *= axis(modulations.size());
-  size *= axis(fidelities.size());
-  for (const auto& [name, values] : override_axes) {
-    (void)name;
-    size *= axis(values.size());
-  }
+  const auto at_least_one = [](std::size_t n) {
+    return std::max<std::size_t>(n, 1);
+  };
+  std::size_t size =
+      models.empty() ? dnn::zoo::model_names().size() : models.size();
   if (serving_mode()) {
     // `models` is replaced by the tenant-mix axis in serving mode.
-    size /= axis(models.empty() ? dnn::zoo::model_names().size()
-                                : models.size());
-    size *= axis(tenant_mixes.size());
-    size *= axis(arrival_rates_rps.size());
-    size *= axis(batch_policies.size());
-    size *= axis(pipeline_modes.size());
-    size *= axis(arrival_sources.size());
-    size *= axis(user_counts.size());
-    size *= axis(admission_policies.size());
-    size *= axis(prefill_token_counts.size());
-    size *= axis(decode_token_counts.size());
-    size *= axis(elastic_policies.size());
+    size = at_least_one(tenant_mixes.size());
   }
-  if (cluster_mode()) {
-    size *= axis(package_counts.size());
-    size *= axis(balancer_policies.size());
-    size *= axis(replication_factors.size());
+  size *= at_least_one(architectures.size());
+  for (const Axis& a : axis_table()) {
+    size *= at_least_one(a.size(*this));
+  }
+  for (const auto& [name, values] : override_axes) {
+    (void)name;
+    size *= at_least_one(values.size());
   }
   return size;
 }
@@ -271,85 +367,38 @@ std::vector<ScenarioSpec> ScenarioGrid::expand(
       (void)dnn::zoo::by_name(component);  // fail fast on unknown models
     }
   }
-  const std::vector<double> rate_axis =
-      arrival_rates_rps.empty()
-          ? std::vector<double>{serving_defaults.arrival_rps}
-          : arrival_rates_rps;
-  const std::vector<serve::BatchPolicy> policy_axis =
-      batch_policies.empty()
-          ? std::vector<serve::BatchPolicy>{serving_defaults.policy}
-          : batch_policies;
-  const std::vector<serve::PipelineMode> pipeline_axis =
-      pipeline_modes.empty()
-          ? std::vector<serve::PipelineMode>{serving_defaults.pipeline}
-          : pipeline_modes;
-  const std::vector<serve::ArrivalSource> source_axis =
-      arrival_sources.empty()
-          ? std::vector<serve::ArrivalSource>{serving_defaults.source}
-          : arrival_sources;
-  const std::vector<unsigned> users_axis =
-      user_counts.empty() ? std::vector<unsigned>{serving_defaults.users}
-                          : user_counts;
-  const std::vector<serve::AdmissionPolicy> admission_axis =
-      admission_policies.empty()
-          ? std::vector<serve::AdmissionPolicy>{serving_defaults.admission}
-          : admission_policies;
-  const std::vector<std::uint32_t> prefill_axis =
-      prefill_token_counts.empty()
-          ? std::vector<std::uint32_t>{serving_defaults.prefill_tokens}
-          : prefill_token_counts;
-  const std::vector<std::uint32_t> decode_axis =
-      decode_token_counts.empty()
-          ? std::vector<std::uint32_t>{serving_defaults.decode_tokens}
-          : decode_token_counts;
-  // Parse the elastic-policy axis up front: an unparseable policy string
-  // fails the whole expansion, not the Nth spec.
-  std::vector<serve::ElasticSpec> elastic_axis{serving_defaults.elastic};
-  if (!elastic_policies.empty()) {
-    elastic_axis.clear();
-    for (const std::string& policy : elastic_policies) {
-      const std::optional<serve::ElasticSpec> parsed =
-          serve::elastic_from_string(policy);
-      OPTIPLET_REQUIRE(parsed.has_value(),
-                       "unparseable elastic policy: " + policy);
-      elastic_axis.push_back(*parsed);
-    }
-  }
-  const std::vector<std::size_t> package_axis =
-      package_counts.empty()
-          ? std::vector<std::size_t>{cluster_defaults.packages}
-          : package_counts;
-  const std::vector<cluster::BalancerPolicy> balancer_axis =
-      balancer_policies.empty()
-          ? std::vector<cluster::BalancerPolicy>{cluster_defaults.balancer}
-          : balancer_policies;
-  const std::vector<std::size_t> replication_axis =
-      replication_factors.empty()
-          ? std::vector<std::size_t>{cluster_defaults.replication}
-          : replication_factors;
   const std::vector<accel::Architecture> arch_axis =
       architectures.empty()
           ? std::vector<accel::Architecture>{accel::Architecture::kSiph2p5D}
           : architectures;
-  const std::vector<unsigned> batch_axis =
-      batch_sizes.empty() ? std::vector<unsigned>{base.batch_size}
-                          : batch_sizes;
-  const std::vector<std::size_t> wl_axis =
-      wavelengths.empty()
-          ? std::vector<std::size_t>{base.photonic.total_wavelengths}
-          : wavelengths;
-  const std::vector<std::size_t> gw_axis =
-      gateways_per_chiplet.empty()
-          ? std::vector<std::size_t>{base.photonic.gateways_per_chiplet}
-          : gateways_per_chiplet;
-  const std::vector<photonics::ModulationFormat> mod_axis =
-      modulations.empty()
-          ? std::vector<photonics::ModulationFormat>{base.photonic.modulation}
-          : modulations;
-  const std::vector<core::FidelitySpec> fid_axis =
-      fidelities.empty() ? std::vector<core::FidelitySpec>{base.fidelity}
-                         : fidelities;
 
+  // The first combination starts from the base configuration's shape and
+  // the defaults of the blocks this grid fills.
+  ScenarioSpec current;
+  current.fidelity = base.fidelity;
+  current.wavelengths = base.photonic.total_wavelengths;
+  current.gateways_per_chiplet = base.photonic.gateways_per_chiplet;
+  current.modulation = base.photonic.modulation;
+  current.batch_size = base.batch_size;
+  if (serving) {
+    current.serving = serving_defaults;
+  }
+  if (cluster_mode()) {
+    current.cluster = cluster_defaults;
+  }
+  std::vector<Axis> rows;
+  for (const Axis& a : axis_table()) {
+    if (a.size(*this) == 0) {
+      continue;
+    }
+    // Imprint every value, the first one last: a value that cannot
+    // imprint (an unparseable elastic policy) fails the whole expansion
+    // rather than the Nth spec, and `current` ends on the first value.
+    for (std::size_t i = a.size(*this); i-- > 0;) {
+      a.imprint(*this, i, current);
+    }
+    rows.push_back(a);
+  }
   const auto keys = override_keys();
   for (std::size_t i = 0; i < override_axes.size(); ++i) {
     const auto& [name, values] = override_axes[i];
@@ -362,128 +411,60 @@ std::vector<ScenarioSpec> ScenarioGrid::expand(
       OPTIPLET_REQUIRE(override_axes[j].first != name,
                        "duplicate override axis for key: " + name);
     }
+    current.overrides.emplace_back(name, values.front());
+    rows.push_back(override_axis(i));
   }
 
   std::vector<ScenarioSpec> specs;
-  // Recursive cartesian product over the override axes; the first-class
-  // axes nest around it (see header for the documented order).
-  std::vector<std::pair<std::string, double>> current_overrides;
-  const std::function<void(std::size_t, const ScenarioSpec&)> expand_axis =
-      [&](std::size_t axis_index, const ScenarioSpec& partial) {
-        if (axis_index < override_axes.size()) {
-          const auto& [name, values] = override_axes[axis_index];
-          for (const double value : values) {
-            current_overrides.emplace_back(name, value);
-            expand_axis(axis_index + 1, partial);
-            current_overrides.pop_back();
-          }
-          return;
+  std::vector<std::size_t> digits(rows.size(), 0);
+  for (;;) {
+    // Feasibility depends only on the interposer shape (plus, for SiPh,
+    // the applied overrides) — never on the model — so probe once per
+    // shape, not once per (architecture, model).
+    const bool divisible =
+        current.gateways_per_chiplet != 0 &&
+        current.wavelengths % current.gateways_per_chiplet == 0;
+    bool siph_feasible = false;
+    bool siph_probed = false;
+    for (const auto arch : arch_axis) {
+      bool shape_ok = divisible;
+      if (shape_ok && arch == accel::Architecture::kSiph2p5D) {
+        if (!siph_probed) {
+          ScenarioSpec shape = current;
+          shape.arch = accel::Architecture::kSiph2p5D;
+          siph_feasible = feasible(shape, base);
+          siph_probed = true;
         }
-        // Feasibility depends only on the interposer shape (plus, for
-        // SiPh, the applied overrides) — never on the model — so probe
-        // once per shape, not once per (architecture, model).
-        ScenarioSpec shape = partial;
-        shape.overrides = current_overrides;
-        const bool divisible =
-            shape.gateways_per_chiplet != 0 &&
-            shape.wavelengths % shape.gateways_per_chiplet == 0;
-        bool siph_feasible = false;
-        bool siph_probed = false;
-        for (const auto arch : arch_axis) {
-          bool shape_ok = divisible;
-          if (shape_ok && arch == accel::Architecture::kSiph2p5D) {
-            if (!siph_probed) {
-              shape.arch = accel::Architecture::kSiph2p5D;
-              siph_feasible = feasible(shape, base);
-              siph_probed = true;
-            }
-            shape_ok = siph_feasible;
-          }
-          if (!shape_ok) {
-            continue;
-          }
-          for (const auto& model : model_axis) {
-            ScenarioSpec spec = partial;
-            spec.model = model;
-            spec.arch = arch;
-            spec.overrides = current_overrides;
-            if (spec.serving) {
-              spec.serving->tenant_mix = model;
-            }
-            specs.push_back(std::move(spec));
-          }
+        shape_ok = siph_feasible;
+      }
+      if (!shape_ok) {
+        continue;
+      }
+      for (const auto& model : model_axis) {
+        ScenarioSpec spec = current;
+        spec.model = model;
+        spec.arch = arch;
+        if (spec.serving) {
+          spec.serving->tenant_mix = model;
         }
-      };
-
-  for (const auto fid : fid_axis) {
-    for (const std::size_t wl : wl_axis) {
-      for (const std::size_t gw : gw_axis) {
-        for (const auto mod : mod_axis) {
-          for (const unsigned batch : batch_axis) {
-            ScenarioSpec partial;
-            partial.fidelity = fid;
-            partial.wavelengths = wl;
-            partial.gateways_per_chiplet = gw;
-            partial.modulation = mod;
-            partial.batch_size = batch;
-            if (!serving) {
-              expand_axis(0, partial);
-              continue;
-            }
-            for (const double rate : rate_axis) {
-              for (const serve::BatchPolicy policy : policy_axis) {
-                for (const serve::PipelineMode pipeline : pipeline_axis) {
-                  for (const serve::ArrivalSource source : source_axis) {
-                    for (const unsigned users : users_axis) {
-                      for (const serve::AdmissionPolicy admission :
-                           admission_axis) {
-                        for (const std::uint32_t prefill : prefill_axis) {
-                          for (const std::uint32_t decode : decode_axis) {
-                            for (const serve::ElasticSpec& elastic :
-                                 elastic_axis) {
-                              partial.serving = serving_defaults;
-                              partial.serving->arrival_rps = rate;
-                              partial.serving->policy = policy;
-                              partial.serving->pipeline = pipeline;
-                              partial.serving->source = source;
-                              partial.serving->users = users;
-                              partial.serving->admission = admission;
-                              partial.serving->prefill_tokens = prefill;
-                              partial.serving->decode_tokens = decode;
-                              partial.serving->elastic = elastic;
-                              if (!cluster_mode()) {
-                                expand_axis(0, partial);
-                                continue;
-                              }
-                              for (const std::size_t packages :
-                                   package_axis) {
-                                for (const auto balancer : balancer_axis) {
-                                  for (const std::size_t replication :
-                                       replication_axis) {
-                                    partial.cluster = cluster_defaults;
-                                    partial.cluster->packages = packages;
-                                    partial.cluster->balancer = balancer;
-                                    partial.cluster->replication =
-                                        replication;
-                                    expand_axis(0, partial);
-                                  }
-                                }
-                              }
-                            }
-                          }
-                        }
-                      }
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
+        specs.push_back(std::move(spec));
       }
     }
+    // Turn the odometer: the innermost row that can advance does, and
+    // every row inside it wraps back to its first value.
+    std::size_t r = rows.size();
+    for (; r > 0; --r) {
+      std::size_t& digit = digits[r - 1];
+      digit = (digit + 1) % rows[r - 1].size(*this);
+      rows[r - 1].imprint(*this, digit, current);
+      if (digit != 0) {
+        break;
+      }
+    }
+    if (r == 0) {
+      return specs;
+    }
   }
-  return specs;
 }
 
 std::optional<accel::Architecture> architecture_from_string(

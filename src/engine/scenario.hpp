@@ -148,29 +148,25 @@ struct ScenarioGrid {
   std::vector<std::size_t> replication_factors;
   cluster::ClusterSpec cluster_defaults;
 
-  [[nodiscard]] bool cluster_mode() const {
-    return !package_counts.empty() || !balancer_policies.empty() ||
-           !replication_factors.empty();
-  }
+  /// True when any cluster axis is non-empty.
+  [[nodiscard]] bool cluster_mode() const;
 
-  [[nodiscard]] bool serving_mode() const {
-    return cluster_mode() || !arrival_rates_rps.empty() ||
-           !batch_policies.empty() || !pipeline_modes.empty() ||
-           !tenant_mixes.empty() || !arrival_sources.empty() ||
-           !user_counts.empty() || !admission_policies.empty() ||
-           !prefill_token_counts.empty() || !decode_token_counts.empty() ||
-           !elastic_policies.empty();
-  }
+  /// True in cluster mode, or when the tenant-mix axis or any serving
+  /// axis is non-empty.
+  [[nodiscard]] bool serving_mode() const;
 
   /// Grid size before feasibility filtering.
   [[nodiscard]] std::size_t raw_size() const;
 
   /// Expand to the feasible spec list. Nesting order (outer to inner):
-  /// fidelity, wavelengths, gateways, modulation, batch, override axes,
-  /// architecture, model — so a fixed interposer shape yields a contiguous
-  /// (architecture-major, model-minor) block, the layout the benches
-  /// consume. Throws std::invalid_argument for unknown override keys or
-  /// unknown model names.
+  /// fidelity, wavelengths, gateways, modulation, batch, the serving axes
+  /// (rate, batch policy, pipeline, source, users, admission, prefill,
+  /// decode, elastic), the cluster axes (packages, balancer, replication),
+  /// override axes, architecture, model — so a fixed interposer shape
+  /// yields a contiguous (architecture-major, model-minor) block, the
+  /// layout the benches consume. Throws std::invalid_argument for unknown
+  /// override keys, empty or duplicate override axes, unknown model names
+  /// or unparseable elastic policies.
   [[nodiscard]] std::vector<ScenarioSpec> expand(
       const core::SystemConfig& base) const;
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -66,6 +67,22 @@ TEST(ResultStore, CsvRowsMatchHeaderWidth) {
   const auto row = ResultStore::csv_row(
       make_result("LeNet5", accel::Architecture::kSiph2p5D, 1.0, 2.0, 3.0));
   EXPECT_EQ(row.size(), header.size());
+}
+
+TEST(ResultStore, OverridesCellTellsApartValuesAgreeingToSixDigits) {
+  // Two override values equal to six significant digits are two distinct
+  // scenarios; their overrides cells must differ too.
+  const auto header = ResultStore::csv_header();
+  const auto column = static_cast<std::size_t>(
+      std::find(header.begin(), header.end(), "overrides") - header.begin());
+  ASSERT_LT(column, header.size());
+  auto a = make_result("LeNet5", accel::Architecture::kSiph2p5D, 1.0, 2.0,
+                       3.0);
+  a.spec.overrides = {{"resipi.epoch_s", 1.0000001e-5}};
+  auto b = a;
+  b.spec.overrides = {{"resipi.epoch_s", 1.0000002e-5}};
+  EXPECT_NE(ResultStore::csv_row(a)[column], ResultStore::csv_row(b)[column]);
+  EXPECT_EQ(ResultStore::csv_row(a)[column], "resipi.epoch_s=1.0000001e-05");
 }
 
 TEST(ResultStore, WriteCsvProducesWellFormedFile) {

@@ -18,6 +18,12 @@
 namespace optiplet::engine {
 namespace {
 
+SweepOptions with_threads(std::size_t threads) {
+  SweepOptions options;
+  options.threads = threads;
+  return options;
+}
+
 ScenarioGrid small_grid() {
   ScenarioGrid grid;
   grid.models = {"LeNet5", "MobileNetV2"};
@@ -52,7 +58,7 @@ TEST(SweepRunner, DeterministicAcrossThreadCounts) {
   std::vector<std::size_t> counts{1, 2, hw};
   std::vector<std::vector<ScenarioResult>> outcomes;
   for (const std::size_t threads : counts) {
-    SweepRunner runner(base, SweepOptions{.threads = threads});
+    SweepRunner runner(base, with_threads(threads));
     outcomes.push_back(runner.run(grid));
     EXPECT_EQ(runner.threads(), threads);
   }
@@ -73,7 +79,7 @@ TEST(SweepRunner, CycleFidelityDeterministicAcrossThreadCounts) {
   const std::size_t hw = ThreadPool::resolve_threads(0);
   std::vector<std::vector<ScenarioResult>> outcomes;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, hw}) {
-    SweepRunner runner(base, SweepOptions{.threads = threads});
+    SweepRunner runner(base, with_threads(threads));
     outcomes.push_back(runner.run(grid));
   }
   expect_identical(outcomes[0], outcomes[1]);
@@ -106,7 +112,7 @@ TEST(SweepRunner, SampledFidelityDeterministicAcrossThreadCounts) {
   const std::size_t hw = ThreadPool::resolve_threads(0);
   std::vector<std::vector<ScenarioResult>> outcomes;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, hw}) {
-    SweepRunner runner(base, SweepOptions{.threads = threads});
+    SweepRunner runner(base, with_threads(threads));
     outcomes.push_back(runner.run(grid));
   }
   expect_identical(outcomes[0], outcomes[1]);
@@ -140,8 +146,7 @@ TEST(SweepRunner, SampledSpecsMemoizeLikeAnyOther) {
   spec.fidelity = sampled;
   ScenarioSpec reseeded = spec;
   reseeded.fidelity.seed = 4;
-  SweepRunner runner(core::default_system_config(),
-                     SweepOptions{.threads = 2});
+  SweepRunner runner(core::default_system_config(), with_threads(2));
   const auto results = runner.run({spec, spec, reseeded});
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(runner.cache_entries(), 2u);
@@ -172,8 +177,7 @@ TEST(SweepRunner, EvaluateMatchesDirectSimulatorRun) {
 TEST(SweepRunner, DuplicateSpecsHitTheCacheWithinABatch) {
   ScenarioSpec spec;
   spec.model = "LeNet5";
-  SweepRunner runner(core::default_system_config(),
-                     SweepOptions{.threads = 2});
+  SweepRunner runner(core::default_system_config(), with_threads(2));
   const auto results = runner.run({spec, spec, spec});
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(runner.cache_entries(), 1u);
@@ -187,8 +191,7 @@ TEST(SweepRunner, DuplicateSpecsHitTheCacheWithinABatch) {
 
 TEST(SweepRunner, RepeatedRunsAreServedFromCache) {
   const auto grid = small_grid();
-  SweepRunner runner(core::default_system_config(),
-                     SweepOptions{.threads = 2});
+  SweepRunner runner(core::default_system_config(), with_threads(2));
   const auto first = runner.run(grid);
   const std::size_t simulated = runner.cache_entries();
   EXPECT_EQ(runner.cache_hits(), 0u);
@@ -293,8 +296,7 @@ TEST(SweepRunner, ScenarioExceptionsPropagateAndRunnerSurvives) {
   bad.model = "NoSuchNet";
   ScenarioSpec good;
   good.model = "LeNet5";
-  SweepRunner runner(core::default_system_config(),
-                     SweepOptions{.threads = 2});
+  SweepRunner runner(core::default_system_config(), with_threads(2));
   EXPECT_THROW((void)runner.run({good, bad}), std::invalid_argument);
   // The failure neither poisons the pool nor caches a bogus result.
   const auto results = runner.run({good});

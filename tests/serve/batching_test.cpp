@@ -5,7 +5,7 @@
 namespace optiplet::serve {
 namespace {
 
-Request req(std::uint64_t id, double t) { return Request{id, t}; }
+Request req(std::uint64_t id, double t) { return Request{id, t, {}}; }
 
 TEST(BatchQueue, NoBatchDispatchesSingletonsFifo) {
   BatchQueue q(BatchingConfig{BatchPolicy::kNone, 8, 1e-3});

@@ -48,8 +48,9 @@ TEST(LayerSchedule, DecomposesTheBatchRunConsistently) {
   // maximal same-group runs, the last stage's end offset pins the chain
   // to the run latency *exactly*, and the totals echo the run.
   const core::SystemConfig base = core::default_system_config();
-  ServiceTimeOracle oracle({{dnn::zoo::by_name("MobileNetV2"), base}},
-                           accel::Architecture::kSiph2p5D);
+  ServiceTimeOracle oracle(
+      {{dnn::zoo::by_name("MobileNetV2"), base, std::nullopt}},
+      accel::Architecture::kSiph2p5D);
   for (const unsigned batch : {1u, 4u}) {
     const core::RunResult& run = oracle.batch_run(0, batch);
     const LayerSchedule& schedule = oracle.layer_schedule(0, batch);

@@ -27,7 +27,7 @@ double isolated_service_s(const std::string& model,
       partition_pool(base.compute_2p5d, {demand}, base.tech);
   core::SystemConfig config = base;
   config.compute_2p5d = plan.tenants[0].platform;
-  ServiceTimeOracle oracle({{dnn::zoo::by_name(model), config}},
+  ServiceTimeOracle oracle({{dnn::zoo::by_name(model), config, std::nullopt}},
                            accel::Architecture::kSiph2p5D);
   return oracle.batch_run(0, 1).latency_s;
 }

@@ -6,51 +6,30 @@
 ///
 /// Examples:
 ///   optiplet_cluster --tenants LeNet5 --packages 1,2,4 --rates 2000
-///   optiplet_cluster --tenants ResNet50,LeNet5 --packages 2 \
+///   optiplet_cluster --tenants ResNet50,LeNet5 --packages 2
 ///       --balancers rr,least --replication-mix 1+2
-///   optiplet_cluster --tenants LeNet5 --packages 4 --replication 4 \
+///   optiplet_cluster --tenants LeNet5 --packages 4 --replication 4
 ///       --balancers locality --rates 4000
-///   optiplet_cluster --tenants LeNet5 --packages 2 \
+///   optiplet_cluster --tenants LeNet5 --packages 2
 ///       --fidelity sampled:windows=4,seed=7
 ///   optiplet_cluster --trace arrivals.csv --tenants LeNet5 --packages 2
 
-#include <cstdint>
-#include <cstdio>
 #include <string>
-#include <vector>
 
-#include "cli_support.hpp"
-#include "cluster/cluster_simulator.hpp"
-#include "dnn/zoo.hpp"
-#include "engine/result_store.hpp"
-#include "engine/scenario.hpp"
-#include "engine/sweep_runner.hpp"
-#include "obs/recorder.hpp"
-#include "util/table.hpp"
+#include "sweep_cli.hpp"
 
 namespace {
 
 using namespace optiplet;
-using cli::join;
-
-std::string format_us(double seconds) {
-  return util::format_fixed(seconds * 1e6, 1);
-}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  engine::ScenarioGrid grid;
-  grid.serving_defaults.requests = 2000;
-  grid.cluster_defaults.packages = 4;
-  std::vector<std::string> tenants = {"LeNet5"};
-  accel::Architecture arch = accel::Architecture::kSiph2p5D;
-  std::size_t threads = 0;
-  std::string out_path = "cluster.csv";
-  std::string trace_out;
-  std::string metrics_out;
-  double snapshot_period_s = 0.0;
-  cli::Logger log;
+  cli::ServingFlags flags;
+  flags.out_path = "cluster.csv";
+  cluster::ClusterSpec& rack = flags.grid.cluster_defaults;
+  rack.packages = 4;
+  const cli::Logger& log = flags.log;
 
   cli::OptionSet options_set(
       "optiplet_cluster",
@@ -61,151 +40,39 @@ Runs one shared arrival stream against a rack of N interposer packages
 joined by board-level photonic links. A front-end load balancer picks
 the serving replica per request; off-ingress requests pay the photonic
 link-budget transfer cost. Reports the merged rack throughput, goodput,
-tail latency, shed counts, transfer charges, and energy per request.)");
-  options_set
-      .add("--tenants", "NAMES",
-           "comma list of co-located registry models\n"
-           "(default LeNet5; see --list-models)",
-           cli::store_model_list(tenants))
-      .add("--rates", "LIST",
-           "comma list of aggregate offered loads [requests/s]\n"
-           "(default 200; split evenly over the tenants;\n"
-           "open-loop only)",
-           cli::append_positive_doubles(grid.arrival_rates_rps,
-                                        "arrival rate"))
+tail latency, shed counts, transfer charges, and energy per request.
+
+Each package runs the elastic policy on its own pool, and a
+fault=t:c:d:p entry reaches only package p (p=-1 hits all). The
+KV-cache budget caps concurrent decode slots per package. Packages
+map to trace processes, and the metric series of package i carry a
+p<i>. prefix.)");
+  cli::add_serving_flags(options_set, flags)
       .add("--packages", "LIST",
            "comma list of rack package counts (default 4)",
-           cli::append_counts(grid.package_counts, "package count"))
+           cli::append_counts(flags.grid.package_counts, "package count"))
       .add("--balancers", "LIST",
            "comma list of rr|least|locality (default locality)",
-           cli::append_choices(grid.balancer_policies,
+           cli::append_choices(flags.grid.balancer_policies,
                                cluster::balancer_policy_from_string,
                                "balancer policy", "rr, least, locality"))
       .add("--replication", "LIST",
            "comma list of replicas per tenant, each clamped to\n"
            "the package count (default 1)",
-           cli::append_counts(grid.replication_factors,
+           cli::append_counts(flags.grid.replication_factors,
                               "replication factor"))
       .add("--replication-mix", "M",
            "'+'-joined per-tenant replication factors aligned\n"
            "with --tenants (e.g. 1+2); overrides --replication",
-           cli::store_string(grid.cluster_defaults.replication_mix))
+           cli::store_string(rack.replication_mix))
       .add("--link-length", "M",
            "board-level link length between packages [m]\n"
            "(default 0.25)",
-           cli::store_positive_double(grid.cluster_defaults.link_length_m,
-                                      "link length"))
+           cli::store_positive_double(rack.link_length_m, "link length"))
       .add("--link-wavelengths", "N",
            "WDM channels per inter-package link (default 16)",
-           cli::store_count(grid.cluster_defaults.link_wavelengths,
-                            "link wavelength count"))
-      .add("--policies", "LIST",
-           "comma list of none|size|deadline|cont (default none;\n"
-           "cont = continuous batching, transformer tenants\n"
-           "only)",
-           cli::append_choices(grid.batch_policies,
-                               serve::batch_policy_from_string,
-                               "batch policy", serve::batch_policy_choices()))
-      .add("--admission", "LIST", "comma list of all|shed (default all)",
-           cli::append_choices(grid.admission_policies,
-                               serve::admission_policy_from_string,
-                               "admission policy",
-                               serve::admission_policy_choices()))
-      .add("--sources", "LIST",
-           "comma list of open|closed arrival sources\n"
-           "(default open)",
-           cli::append_choices(grid.arrival_sources,
-                               serve::arrival_source_from_string,
-                               "arrival source",
-                               serve::arrival_source_choices()))
-      .add("--prefill-tokens", "LIST",
-           "comma list of mean prompt lengths [tokens]; any\n"
-           "positive value switches transformer tenants to\n"
-           "variable-length prefill/decode pricing (default 0 =\n"
-           "fixed-shape requests)",
-           cli::append_counts(grid.prefill_token_counts, "prefill tokens"))
-      .add("--decode-tokens", "LIST",
-           "comma list of mean generated lengths [tokens]; 0 =\n"
-           "pure prefill (default 0; requires --prefill-tokens)",
-           cli::append_counts_or_zero(grid.decode_token_counts,
-                                      "decode tokens"))
-      .add("--token-spread", "X",
-           "relative half-width of the per-request uniform\n"
-           "token-length draw, in [0,1) (default 0)",
-           cli::store_nonnegative_double(grid.serving_defaults.token_spread,
-                                         "token spread"))
-      .add("--kv-cache-mb", "MB",
-           "per-tenant KV-cache activation budget [MiB]; caps\n"
-           "concurrent decode slots per package (default 256)",
-           cli::store_positive_double(grid.serving_defaults.kv_cache_mb,
-                                      "KV-cache budget"))
-      .add("--users", "LIST",
-           "comma list of closed-loop users per tenant\n"
-           "(default 16; implies --sources closed when\n"
-           "--sources is not given)",
-           cli::append_counts(grid.user_counts, "user count"))
-      .add("--elastics", "LIST",
-           "comma list of elastic-operation policies as\n"
-           "'/'-joined k=v codec strings; each package runs the\n"
-           "policy on its own pool, and a fault=t:c:d:p entry\n"
-           "is delivered only to package p (p=-1 hits all; see\n"
-           "docs/elastic-operation.md; default static)",
-           [&grid](const std::string& value) -> std::optional<std::string> {
-             for (const std::string& part : cli::split(value, ',')) {
-               if (!serve::elastic_from_string(part)) {
-                 return "unparseable elastic policy: " + part;
-               }
-               grid.elastic_policies.push_back(part);
-             }
-             return std::nullopt;
-           })
-      .add("--max-batch", "K",
-           "batch bound for size/deadline/cont policies (default 8)",
-           cli::store_count(grid.serving_defaults.max_batch, "max batch"))
-      .add("--max-wait", "S",
-           "deadline policy: max queue wait [s] (default 1e-3)",
-           cli::store_nonnegative_double(grid.serving_defaults.max_wait_s,
-                                         "max wait"))
-      .add("--requests", "N", "total arrivals across tenants (default 2000)",
-           cli::store_count(grid.serving_defaults.requests, "request count"))
-      .add("--seed", "S", "arrival-process seed (default 42)",
-           cli::store_count_or_zero(grid.serving_defaults.seed, "seed"))
-      .add("--sla", "S",
-           "latency SLA [s]; 0 derives 10x the batch-1 service\n"
-           "time per tenant (default 0)",
-           cli::store_nonnegative_double(grid.serving_defaults.sla_s, "SLA"))
-      .add("--trace", "FILE",
-           "replay a CSV arrival trace (arrival_s[,tenant])\n"
-           "instead of Poisson arrivals (see optiplet_tracegen)",
-           cli::store_string(grid.serving_defaults.trace_path))
-      .add("--arch", "NAME", "mono|elec|siph (default siph)",
-           cli::store_choice(arch, engine::architecture_from_string,
-                             "architecture", "mono, elec, siph"))
-      .add("--fidelity", "LIST", cli::fidelity_help(),
-           cli::append_fidelities(grid.fidelities))
-      .add("--threads", "N",
-           "worker threads; must be a positive integer\n"
-           "(default: hardware concurrency)",
-           cli::store_threads(threads))
-      .add("--out", "FILE", "output CSV path (default cluster.csv)",
-           cli::store_string(out_path))
-      .add("--trace-out", "FILE",
-           "also run the first scenario with request-lifecycle\n"
-           "tracing and write a Chrome trace-event / Perfetto\n"
-           "JSON; packages map to trace processes (see\n"
-           "docs/observability.md)",
-           cli::store_string(trace_out))
-      .add("--metrics-out", "FILE",
-           "also run the first scenario with metric snapshots\n"
-           "and write the long-format time series CSV\n"
-           "(t_s,series,value; per-package series prefixed p<i>.)",
-           cli::store_string(metrics_out))
-      .add("--snapshot-period", "S",
-           "sim-time between metric snapshots [s] (default:\n"
-           "~64 snapshots across the arrival span)",
-           cli::store_positive_double(snapshot_period_s,
-                                      "snapshot period"));
-  cli::add_log_flags(options_set, log)
+           cli::store_count(rack.link_wavelengths, "link wavelength count"));
+  cli::add_log_flags(options_set, flags.log)
       .add_action("--list-models",
                   "print the model registry (name, family, params) and exit",
                   cli::list_models_action())
@@ -215,44 +82,13 @@ tail latency, shed counts, transfer charges, and energy per request.)");
     return *exit_code;
   }
 
-  grid.architectures = {arch};
-  grid.tenant_mixes = {join(tenants, "+")};
+  engine::ScenarioGrid grid = flags.scenario_grid();
   if (grid.package_counts.empty()) {
-    grid.package_counts = {grid.cluster_defaults.packages};
+    // A package-count axis is what turns the grid into racks.
+    grid.package_counts = {rack.packages};
   }
-  if (grid.arrival_rates_rps.empty()) {
-    grid.arrival_rates_rps = {grid.serving_defaults.arrival_rps};
-  }
-  if (grid.arrival_sources.empty()) {
-    grid.arrival_sources = {grid.user_counts.empty()
-                                ? grid.serving_defaults.source
-                                : serve::ArrivalSource::kClosedLoop};
-  }
-
-  engine::SweepOptions options;
-  options.threads = threads;
-  if (log.debug_enabled()) {
-    // Per-scenario lines replace the \r meter (they would interleave).
-    options.scenario_progress =
-        [&log](const engine::ScenarioProgress& p) {
-          if (p.from_cache) {
-            log.debug("[%zu/%zu] %s  (cache)\n", p.done, p.total,
-                      p.key.c_str());
-          } else {
-            log.debug("[%zu/%zu] %s  %.3f s\n", p.done, p.total,
-                      p.key.c_str(), p.wall_s);
-          }
-        };
-  } else if (log.info_enabled()) {
-    options.progress = [](std::size_t done, std::size_t total) {
-      std::fprintf(stderr, "\r%zu/%zu cluster scenarios", done, total);
-      if (done == total) {
-        std::fputc('\n', stderr);
-      }
-    };
-  }
-
-  engine::SweepRunner runner(core::default_system_config(), options);
+  engine::SweepRunner runner(core::default_system_config(),
+                             cli::sweep_options(log, flags.threads));
   log.info("Running on %zu worker threads\n", runner.threads());
   engine::ResultStore store;
   try {
@@ -273,96 +109,29 @@ tail latency, shed counts, transfer charges, and energy per request.)");
     const auto& m = *r.serving;
     const auto& c = *r.cluster;
     const auto& cs = *r.spec.cluster;
-    const auto& s = *r.spec.serving;
-    const std::string load =
-        s.source == serve::ArrivalSource::kClosedLoop
-            ? std::to_string(s.users) + "u"
-            : util::format_fixed(s.arrival_rps, 0);
     table.add_row({std::to_string(cs.packages),
                    cluster::to_string(cs.balancer),
                    cs.replication_mix.empty()
                        ? std::to_string(cs.replication)
                        : cs.replication_mix,
-                   load, util::format_fixed(m.throughput_rps, 0),
+                   cli::format_load(*r.spec.serving),
+                   util::format_fixed(m.throughput_rps, 0),
                    util::format_fixed(m.goodput_rps, 0),
-                   std::to_string(m.shed), format_us(m.p99_s),
+                   std::to_string(m.shed), cli::format_us(m.p99_s),
                    std::to_string(c.transfers),
                    util::format_fixed(c.transfer_energy_j * 1e3, 3),
                    util::format_fixed(m.energy_per_request_j * 1e3, 3)});
   }
   log.result("Rack serving %s on %s, %zu scenarios (%zu threads)\n\n",
-             grid.tenant_mixes.front().c_str(), accel::to_string(arch),
+             grid.tenant_mixes.front().c_str(), accel::to_string(flags.arch),
              store.size(), runner.threads());
   log.result("%s", table.render().c_str());
 
-  // Self-profiling footer (per-scenario columns land in the CSV).
-  if (log.info_enabled()) {
-    double eval_wall_s = 0.0;
-    std::uint64_t sim_events = 0;
-    const engine::ScenarioResult* slowest = nullptr;
-    for (const auto& r : store.results()) {
-      if (r.from_cache) {
-        continue;
-      }
-      eval_wall_s += r.eval_wall_s;
-      if (slowest == nullptr || r.eval_wall_s > slowest->eval_wall_s) {
-        slowest = &r;
-      }
-      if (r.serving) {
-        sim_events += r.serving->sim_events;
-      }
-    }
-    log.info("\nProfile: %zu simulated + %zu memoized scenarios, %.2f s "
-             "eval wall, %llu sim events\n",
-             runner.cache_entries(), runner.cache_hits(), eval_wall_s,
-             static_cast<unsigned long long>(sim_events));
-    if (slowest != nullptr) {
-      log.info("Slowest scenario: %s (%.2f s)\n",
-               slowest->spec.key().c_str(), slowest->eval_wall_s);
-    }
+  cli::log_profile(log, runner, store);
+  if (!store.write_csv(flags.out_path)) {
+    return options_set.fail("cannot write " + flags.out_path);
   }
-
-  if (!store.write_csv(out_path)) {
-    return options_set.fail("cannot write " + out_path);
-  }
-  log.result("\nCluster grid written to %s\n", out_path.c_str());
-
-  // Observability exports re-run the FIRST scenario with a recorder on
-  // the rack config; grid results and CSV above are untouched.
-  if (!trace_out.empty() || !metrics_out.empty()) {
-    const engine::ScenarioSpec& spec = store.results().front().spec;
-    obs::RecorderOptions recorder_options;
-    recorder_options.trace = !trace_out.empty();
-    recorder_options.metrics = !metrics_out.empty();
-    recorder_options.snapshot_period_s = snapshot_period_s;
-    obs::Recorder recorder(recorder_options);
-    core::SystemConfig cfg = core::default_system_config();
-    spec.apply(cfg);
-    cluster::ClusterConfig cluster_config{cfg,          spec.arch,
-                                          *spec.serving, *spec.cluster,
-                                          /*threads=*/1, &recorder};
-    try {
-      (void)cluster::simulate(cluster_config);
-    } catch (const std::exception& e) {
-      return options_set.fail(std::string("instrumented run failed: ") +
-                              e.what());
-    }
-    if (!trace_out.empty()) {
-      if (!recorder.trace().write_json(trace_out)) {
-        return options_set.fail("cannot write " + trace_out);
-      }
-      log.result("Trace of %s (%zu spans) written to %s\n",
-                 spec.key().c_str(), recorder.trace().size(),
-                 trace_out.c_str());
-    }
-    if (!metrics_out.empty()) {
-      if (!recorder.metrics().write_csv(metrics_out)) {
-        return options_set.fail("cannot write " + metrics_out);
-      }
-      log.result("Metric snapshots of %s (%zu series) written to %s\n",
-                 spec.key().c_str(), recorder.metrics().series_count(),
-                 metrics_out.c_str());
-    }
-  }
-  return 0;
+  log.result("\nCluster grid written to %s\n", flags.out_path.c_str());
+  return cli::write_instrumented_run(options_set, flags,
+                                     store.results().front().spec);
 }

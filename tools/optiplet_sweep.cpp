@@ -5,7 +5,7 @@
 ///
 /// Examples:
 ///   optiplet_sweep --models LeNet5,VGG16 --archs all --out grid.csv
-///   optiplet_sweep --wavelengths 16,32,64 --gateways 2,4 \
+///   optiplet_sweep --wavelengths 16,32,64 --gateways 2,4
 ///       --modulations ook,pam4 --threads 4
 ///   optiplet_sweep --models DenseNet121 --fidelity sampled:windows=8,seed=1
 ///   optiplet_sweep --models LeNet5 --set resipi.epoch_s=5e-6,1e-5,2e-5
@@ -17,59 +17,44 @@
 #include <string>
 #include <vector>
 
-#include "cli_support.hpp"
-#include "dnn/zoo.hpp"
-#include "engine/result_store.hpp"
-#include "engine/scenario.hpp"
-#include "engine/sweep_runner.hpp"
-#include "util/csv.hpp"
-#include "util/table.hpp"
+#include "sweep_cli.hpp"
 
 namespace {
 
 using namespace optiplet;
-using cli::join;
 using cli::parse_double;
 using cli::split;
 
 /// Dump every scenario's per-layer breakdown (computed by the simulator on
-/// each run, but unreachable from the CLI before this flag existed).
+/// each run, but unreachable from the CLI before this flag existed). Each
+/// row leads with the scenario's spec columns, spelled as in the grid CSV.
 bool write_per_layer_csv(const std::string& path,
                          const engine::ResultStore& store) {
-  util::CsvWriter csv(path,
-                      {"model", "architecture", "batch_size", "wavelengths",
-                       "gateways_per_chiplet", "modulation", "fidelity",
-                       "overrides", "layer_index", "group", "chiplets_used",
-                       "compute_s", "read_s", "write_s", "overhead_s",
-                       "total_s", "gateways_active"});
+  constexpr std::size_t kSpecColumns = 8;  // model through overrides
+  std::vector<std::string> header = engine::ResultStore::csv_header();
+  header.resize(kSpecColumns);
+  header.insert(header.end(),
+                {"layer_index", "group", "chiplets_used", "compute_s", "read_s",
+                 "write_s", "overhead_s", "total_s", "gateways_active"});
+  util::CsvWriter csv(path, header);
   if (!csv.ok()) {
     return false;
   }
-  const auto overrides_cell = [](const engine::ScenarioSpec& spec) {
-    std::vector<std::string> parts;
-    for (const auto& [name, value] : spec.overrides) {
-      parts.push_back(name + "=" + util::format_general(value));
-    }
-    return join(parts, " ");
-  };
   for (const auto& r : store.results()) {
+    std::vector<std::string> spec_cells = engine::ResultStore::csv_row(r);
+    spec_cells.resize(kSpecColumns);
     for (const auto& layer : r.run.layers) {
-      csv.add_row({r.spec.model, accel::to_string(r.spec.arch),
-                   std::to_string(r.spec.batch_size),
-                   std::to_string(r.spec.wavelengths),
-                   std::to_string(r.spec.gateways_per_chiplet),
-                   photonics::to_string(r.spec.modulation),
-                   core::to_string(r.spec.fidelity),
-                   overrides_cell(r.spec),
-                   std::to_string(layer.layer_index),
-                   accel::to_string(layer.group),
-                   std::to_string(layer.chiplets_used),
-                   util::format_general(layer.compute_s),
-                   util::format_general(layer.read_s),
-                   util::format_general(layer.write_s),
-                   util::format_general(layer.overhead_s),
-                   util::format_general(layer.total_s),
-                   std::to_string(layer.gateways_per_chiplet)});
+      std::vector<std::string> row = spec_cells;
+      row.insert(row.end(), {std::to_string(layer.layer_index),
+                             accel::to_string(layer.group),
+                             std::to_string(layer.chiplets_used),
+                             util::format_general(layer.compute_s),
+                             util::format_general(layer.read_s),
+                             util::format_general(layer.write_s),
+                             util::format_general(layer.overhead_s),
+                             util::format_general(layer.total_s),
+                             std::to_string(layer.gateways_per_chiplet)});
+      csv.add_row(row);
     }
   }
   return true;
@@ -176,30 +161,8 @@ divisible by gateways; SiPh link budget that cannot close) are skipped.)");
     return *exit_code;
   }
 
-  engine::SweepOptions options;
-  options.threads = threads;
-  if (log.debug_enabled()) {
-    // Per-scenario lines replace the \r meter (they would interleave).
-    options.scenario_progress =
-        [&log](const engine::ScenarioProgress& p) {
-          if (p.from_cache) {
-            log.debug("[%zu/%zu] %s  (cache)\n", p.done, p.total,
-                      p.key.c_str());
-          } else {
-            log.debug("[%zu/%zu] %s  %.3f s\n", p.done, p.total,
-                      p.key.c_str(), p.wall_s);
-          }
-        };
-  } else if (log.info_enabled()) {
-    options.progress = [](std::size_t done, std::size_t total) {
-      std::fprintf(stderr, "\r%zu/%zu scenarios", done, total);
-      if (done == total) {
-        std::fputc('\n', stderr);
-      }
-    };
-  }
-
-  engine::SweepRunner runner(core::default_system_config(), options);
+  engine::SweepRunner runner(core::default_system_config(),
+                             cli::sweep_options(log, threads));
   log.info("Running on %zu worker threads\n", runner.threads());
   engine::ResultStore store;
   try {
@@ -242,27 +205,7 @@ divisible by gateways; SiPh link budget that cannot close) are skipped.)");
              greenest->spec.key().c_str(),
              greenest->run.epb_j_per_bit * 1e12);
 
-  // Self-profiling footer (per-scenario eval_wall_s lands in the CSV).
-  if (log.info_enabled()) {
-    double eval_wall_s = 0.0;
-    const engine::ScenarioResult* slowest = nullptr;
-    for (const auto& r : store.results()) {
-      if (r.from_cache) {
-        continue;
-      }
-      eval_wall_s += r.eval_wall_s;
-      if (slowest == nullptr || r.eval_wall_s > slowest->eval_wall_s) {
-        slowest = &r;
-      }
-    }
-    log.info("\nProfile: %.2f s eval wall across %zu simulated scenarios\n",
-             eval_wall_s, runner.cache_entries());
-    if (slowest != nullptr) {
-      log.info("Slowest scenario: %s (%.2f s)\n",
-               slowest->spec.key().c_str(), slowest->eval_wall_s);
-    }
-  }
-
+  cli::log_profile(log, runner, store);
   if (!store.write_csv(out_path)) {
     return options_set.fail("cannot write " + out_path);
   }

@@ -6,11 +6,11 @@
 ///
 /// Examples:
 ///   optiplet_tracegen --profile diurnal --rate 20000 --duration 0.5
-///   optiplet_tracegen --profile bursts --rate 5000 --burst-mult 10 \
+///   optiplet_tracegen --profile bursts --rate 5000 --burst-mult 10
 ///       --tenants LeNet5,VGG16 --out burst_trace.csv
-///   optiplet_tracegen --profile mmpp --on-rate 40000 --off-rate 0 \
+///   optiplet_tracegen --profile mmpp --on-rate 40000 --off-rate 0
 ///       --duration 1 --seed 7
-///   optiplet_tracegen --rate 100 --tenants TinyGPT --prefill-tokens 256 \
+///   optiplet_tracegen --rate 100 --tenants TinyGPT --prefill-tokens 256
 ///       --decode-tokens 64 --token-spread 0.5
 
 #include <cstdio>
