@@ -5,7 +5,9 @@
 /// batching with shedding and priority classes (plus a colliding-window
 /// pair for the ReSiPI wait), layer-granular pipelining with shared-group
 /// handoffs, variable-length size batching, continuous batching under a
-/// closed loop, full elastic operation, and a replicated rack — is run,
+/// closed loop, full elastic operation, a replicated rack, and a
+/// transformer (size-batched or continuous) sharing the layer-mode pool
+/// with two pipelined CNNs — is run,
 /// and every field of ServingMetrics, TenantReport, ClassReport, DayPoint
 /// and ClusterMetrics is compared bit for bit against recorded values
 /// (hex-float literals, so a mismatch names the field and both exact
@@ -343,12 +345,14 @@ void expect_golden(const Flat& flat, const char* name,
   }
 }
 
-ServingReport run(const ServingSpec& spec) {
+ServingConfig config_of(const ServingSpec& spec) {
   ServingConfig config = make_serving_config(
       core::default_system_config(), accel::Architecture::kSiph2p5D, spec);
   config.record_batches = true;
-  return simulate(config);
+  return config;
 }
+
+ServingReport run(const ServingSpec& spec) { return simulate(config_of(spec)); }
 
 Flat flat_of(const ServingReport& report) {
   Flat flat;
@@ -454,6 +458,35 @@ ServingSpec elastic_spec() {
   spec.elastic.faults.push_back({0.06, 2, 1.0, -1});
   spec.elastic.faults.push_back({0.09, -1, 0.8, -1});
   return spec;
+}
+
+/// Layer-granular pool shared by a transformer and two pipelined CNNs:
+/// all three need the two dense chiplets, so that group is the shared
+/// pool, and TinyGPT's tenant-level work (whole batches under
+/// `gpt_policy`, or continuous iterations) contends with the CNNs' stage
+/// waiters for it across two priority classes. The CNNs deadline-batch
+/// with their token fields zeroed.
+ServingConfig mixed_layer_config(BatchPolicy gpt_policy) {
+  ServingSpec spec;
+  spec.tenant_mix = "TinyGPT+LeNet5+MobileNetV2";
+  spec.arrival_rps = 900.0;
+  spec.requests = 150;
+  spec.pipeline = PipelineMode::kLayerGranular;
+  spec.priority_mix = "0+1+0";
+  spec.policy = BatchPolicy::kDeadline;
+  spec.max_batch = 4;
+  spec.max_wait_s = 1.0e-3;
+  spec.prefill_tokens = 32;
+  spec.decode_tokens = 4;
+  spec.token_spread = 0.5;
+  ServingConfig config = config_of(spec);
+  config.tenants[0].batching.policy = gpt_policy;
+  for (std::size_t t = 1; t < config.tenants.size(); ++t) {
+    config.tenants[t].prefill_tokens = 0;
+    config.tenants[t].decode_tokens = 0;
+    config.tenants[t].token_spread = 0.0;
+  }
+  return config;
 }
 
 /// A 3-package least-loaded rack, every tenant replicated twice, with a
@@ -2068,6 +2101,327 @@ const GoldenDigest kRackDigests[] = {
     {"package[2].chiplet_busy_s", 0x3562d44dba6d47ccULL},
     {"package[2].ledger", 0x2abbeac38cd108e9ULL},
 };
+const Golden kMixedLayerSize[] = {
+    {"metrics.offered", 150},
+    {"metrics.completed", 150},
+    {"metrics.shed", 0},
+    {"metrics.makespan_s", 0x1.b229063811d8ep-3},
+    {"metrics.throughput_rps", 0x1.61c952ad27e3fp+9},
+    {"metrics.goodput_rps", 0x1.bb698d2af1248p+8},
+    {"metrics.mean_latency_s", 0x1.527f5133ab59ap-8},
+    {"metrics.p50_s", 0x1.a345ae3b5bfp-10},
+    {"metrics.p95_s", 0x1.299a1d601032ap-6},
+    {"metrics.p99_s", 0x1.55fd6d61f6da8p-6},
+    {"metrics.max_latency_s", 0x1.a344906ba66ep-6},
+    {"metrics.sla_violation_rate", 0x1.7e4b17e4b17e5p-2},
+    {"metrics.mean_batch", 0x1.af75eebdd7bafp+0},
+    {"metrics.utilization", 0x1.1419afb018b13p-3},
+    {"metrics.energy_j", 0x1.b727e28cb8e52p+0},
+    {"metrics.energy_per_request_j", 0x1.76bf0c6a6dfd9p-7},
+    {"metrics.resipi_conflicts", 0},
+    {"metrics.resipi_wait_s", 0x0p+0},
+    {"metrics.shared_handoffs", 56},
+    {"metrics.handoff_resipi_s", 0x1.d5c31593e5fbap-15},
+    {"metrics.service_cache_hits", 155},
+    {"metrics.service_cache_misses", 19},
+    {"metrics.p99_hi_s", 0x1.55fd6d61f6da8p-6},
+    {"metrics.p99_lo_s", 0x1.bbb22d70fae4p-8},
+    {"metrics.first_arrival_abs_s", 0x1.32259b37c3b3bp-12},
+    {"metrics.last_completion_abs_s", 0x1.b2c21905adbacp-3},
+    {"metrics.sim_events", 1604},
+    {"metrics.sim_event_queue_peak", 6},
+    {"metrics.ttft_p99_s", 0x1.618a2609b4938p-6},
+    {"metrics.decode_tps", 0x1.f404a4a2ce90ap+9},
+    {"metrics.kv_peak_bytes", 1474560},
+    {"metrics.abandoned", 0},
+    {"metrics.retries", 0},
+    {"metrics.repartitions", 0},
+    {"metrics.repartition_resipi_s", 0x0p+0},
+    {"metrics.gate_events", 0},
+    {"metrics.gated_idle_s", 0x0p+0},
+    {"metrics.faults_injected", 0},
+    {"metrics.carbon_g", 0x1.8fbab7e8fddb4p-13},
+    {"tenants.size", 3},
+    {"tenants[0].priority", 0},
+    {"tenants[0].offered", 50},
+    {"tenants[0].completed", 50},
+    {"tenants[0].shed", 0},
+    {"tenants[0].batches", 13},
+    {"tenants[0].throughput_rps", 0x1.d7b718e6dfda9p+7},
+    {"tenants[0].goodput_rps", 0x1.d7b718e6dfda9p+7},
+    {"tenants[0].mean_latency_s", 0x1.7dbec86205bfdp-7},
+    {"tenants[0].p50_s", 0x1.6b3393b1a3b78p-7},
+    {"tenants[0].p95_s", 0x1.55c218196f89bp-6},
+    {"tenants[0].p99_s", 0x1.a344906ba66ep-6},
+    {"tenants[0].max_latency_s", 0x1.a344906ba66ep-6},
+    {"tenants[0].sla_s", 0x1.c75cae96268e5p-6},
+    {"tenants[0].sla_violation_rate", 0x0p+0},
+    {"tenants[0].mean_batch", 0x1.ec4ec4ec4ec4fp+1},
+    {"tenants[0].busy_s", 0x1.1912111cf3b17p-4},
+    {"tenants[0].utilization", 0x1.4b769264ea06bp-2},
+    {"tenants[0].energy_j", 0x1.245340bd996a1p+0},
+    {"tenants[0].energy_per_request_j", 0x1.762d1fab01cf7p-6},
+    {"tenants[0].shared_wait_s", 0x1.761ede0ba3p-16},
+    {"tenants[0].resipi_wait_s", 0x0p+0},
+    {"tenants[0].resipi_conflicts", 0},
+    {"tenants[0].shared_handoffs", 0},
+    {"tenants[0].handoff_resipi_s", 0x0p+0},
+    {"tenants[0].ttft_p99_s", 0x1.618a2609b4938p-6},
+    {"tenants[0].decode_tps", 0x1.f404a4a2ce90ap+9},
+    {"tenants[0].kv_peak_bytes", 1474560},
+    {"tenants[0].abandoned", 0},
+    {"tenants[0].retries", 0},
+    {"tenants[0].gate_events", 0},
+    {"tenants[0].gated_idle_s", 0x0p+0},
+    {"tenants[1].priority", 1},
+    {"tenants[1].offered", 50},
+    {"tenants[1].completed", 50},
+    {"tenants[1].shed", 0},
+    {"tenants[1].batches", 38},
+    {"tenants[1].throughput_rps", 0x1.d7b718e6dfda9p+7},
+    {"tenants[1].goodput_rps", 0x1.2de5d27f47962p+2},
+    {"tenants[1].mean_latency_s", 0x1.afa6316446df7p-10},
+    {"tenants[1].p50_s", 0x1.0982d76c3bcp-10},
+    {"tenants[1].p95_s", 0x1.978aca45ccdfp-8},
+    {"tenants[1].p99_s", 0x1.bbb22d70fae4p-8},
+    {"tenants[1].max_latency_s", 0x1.bbb22d70fae4p-8},
+    {"tenants[1].sla_s", 0x1.f0cafb22ea9d8p-14},
+    {"tenants[1].sla_violation_rate", 0x1.f5c28f5c28f5cp-1},
+    {"tenants[1].mean_batch", 0x1.50d79435e50d8p+0},
+    {"tenants[1].busy_s", 0x1.f7db72fa8f928p-12},
+    {"tenants[1].utilization", 0x1.2918ade57e035p-9},
+    {"tenants[1].energy_j", 0x1.0eee52da08457p-7},
+    {"tenants[1].energy_per_request_j", 0x1.5acaa77d7b3a3p-13},
+    {"tenants[1].shared_wait_s", 0x1.1525972836c67p-5},
+    {"tenants[1].resipi_wait_s", 0x0p+0},
+    {"tenants[1].resipi_conflicts", 0},
+    {"tenants[1].shared_handoffs", 28},
+    {"tenants[1].handoff_resipi_s", 0x1.d5c31593e5fbap-16},
+    {"tenants[1].ttft_p99_s", 0x0p+0},
+    {"tenants[1].decode_tps", 0x0p+0},
+    {"tenants[1].kv_peak_bytes", 0},
+    {"tenants[1].abandoned", 0},
+    {"tenants[1].retries", 0},
+    {"tenants[1].gate_events", 0},
+    {"tenants[1].gated_idle_s", 0x0p+0},
+    {"tenants[2].priority", 0},
+    {"tenants[2].offered", 50},
+    {"tenants[2].completed", 50},
+    {"tenants[2].shed", 0},
+    {"tenants[2].batches", 38},
+    {"tenants[2].throughput_rps", 0x1.d7b718e6dfda9p+7},
+    {"tenants[2].goodput_rps", 0x1.95acd2db0831bp+7},
+    {"tenants[2].mean_latency_s", 0x1.202dacfbc9a9ap-9},
+    {"tenants[2].p50_s", 0x1.83b51e2ab03cp-10},
+    {"tenants[2].p95_s", 0x1.6c368bce1df8p-8},
+    {"tenants[2].p99_s", 0x1.e40e30f20773p-8},
+    {"tenants[2].max_latency_s", 0x1.e40e30f20773p-8},
+    {"tenants[2].sla_s", 0x1.0f0ee67e3742p-8},
+    {"tenants[2].sla_violation_rate", 0x1.1eb851eb851ecp-3},
+    {"tenants[2].mean_batch", 0x1.50d79435e50d8p+0},
+    {"tenants[2].busy_s", 0x1.2530043fbec65p-6},
+    {"tenants[2].utilization", 0x1.59c0aa05e89f7p-4},
+    {"tenants[2].energy_j", 0x1.dec20491709f4p-2},
+    {"tenants[2].energy_per_request_j", 0x1.3267b100ebeb1p-7},
+    {"tenants[2].shared_wait_s", 0x1.220b494003db8p-5},
+    {"tenants[2].resipi_wait_s", 0x0p+0},
+    {"tenants[2].resipi_conflicts", 0},
+    {"tenants[2].shared_handoffs", 28},
+    {"tenants[2].handoff_resipi_s", 0x1.d5c31593e5fbap-16},
+    {"tenants[2].ttft_p99_s", 0x0p+0},
+    {"tenants[2].decode_tps", 0x0p+0},
+    {"tenants[2].kv_peak_bytes", 0},
+    {"tenants[2].abandoned", 0},
+    {"tenants[2].retries", 0},
+    {"tenants[2].gate_events", 0},
+    {"tenants[2].gated_idle_s", 0x0p+0},
+    {"classes.size", 2},
+    {"classes[0].priority", 0},
+    {"classes[0].offered", 100},
+    {"classes[0].completed", 100},
+    {"classes[0].shed", 0},
+    {"classes[0].abandoned", 0},
+    {"classes[0].p99_s", 0x1.55fd6d61f6da8p-6},
+    {"classes[0].sla_violation_rate", 0x1.1eb851eb851ecp-4},
+    {"classes[0].goodput_rps", 0x1.b6b1f5e0f4062p+8},
+    {"classes[1].priority", 1},
+    {"classes[1].offered", 50},
+    {"classes[1].completed", 50},
+    {"classes[1].shed", 0},
+    {"classes[1].abandoned", 0},
+    {"classes[1].p99_s", 0x1.bbb22d70fae4p-8},
+    {"classes[1].sla_violation_rate", 0x1.f5c28f5c28f5cp-1},
+    {"classes[1].goodput_rps", 0x1.2de5d27f47962p+2},
+    {"day_curve.size", 0},
+    {"batches.size", 1381},
+};
+const GoldenDigest kMixedLayerSizeDigests[] = {
+    {"batches", 0x354f700e3173b03dULL},
+    {"tenant_latencies", 0x7e81002b38010097ULL},
+    {"chiplet_busy_s", 0x9daf2c75721963b8ULL},
+    {"ledger", 0x8b6ca5e944a44936ULL},
+};
+
+const Golden kMixedLayerCont[] = {
+    {"metrics.offered", 150},
+    {"metrics.completed", 150},
+    {"metrics.shed", 0},
+    {"metrics.makespan_s", 0x1.b107ddea59d57p-3},
+    {"metrics.throughput_rps", 0x1.62b59095ee0e3p+9},
+    {"metrics.goodput_rps", 0x1.9b767484f56cap+8},
+    {"metrics.mean_latency_s", 0x1.760a1ea546ce1p-9},
+    {"metrics.p50_s", 0x1.6b1794f0bb38p-9},
+    {"metrics.p95_s", 0x1.7cd9745c2e79p-8},
+    {"metrics.p99_s", 0x1.36545563b47ap-7},
+    {"metrics.max_latency_s", 0x1.459451fb5983p-7},
+    {"metrics.sla_violation_rate", 0x1.ae147ae147ae1p-2},
+    {"metrics.mean_batch", 0x1.30c30c30c30c3p+0},
+    {"metrics.utilization", 0x1.9af906908a60bp-3},
+    {"metrics.energy_j", 0x1.577fccd8cd67cp+1},
+    {"metrics.energy_per_request_j", 0x1.251e8cab59f22p-6},
+    {"metrics.resipi_conflicts", 1},
+    {"metrics.resipi_wait_s", 0x1.ccbec19b32p-16},
+    {"metrics.shared_handoffs", 62},
+    {"metrics.handoff_resipi_s", 0x1.040bfe3b03e22p-14},
+    {"metrics.service_cache_hits", 278},
+    {"metrics.service_cache_misses", 30},
+    {"metrics.p99_hi_s", 0x1.36545563b47ap-7},
+    {"metrics.p99_lo_s", 0x1.35e97a712a674p-7},
+    {"metrics.first_arrival_abs_s", 0x1.32259b37c3b3bp-12},
+    {"metrics.last_completion_abs_s", 0x1.b1a0f0b7f5b75p-3},
+    {"metrics.sim_events", 1812},
+    {"metrics.sim_event_queue_peak", 7},
+    {"metrics.ttft_p99_s", 0x1.37774bc960a8p-10},
+    {"metrics.decode_tps", 0x1.f5528814c1178p+9},
+    {"metrics.kv_peak_bytes", 1048576},
+    {"metrics.abandoned", 0},
+    {"metrics.retries", 0},
+    {"metrics.repartitions", 0},
+    {"metrics.repartition_resipi_s", 0x0p+0},
+    {"metrics.gate_events", 0},
+    {"metrics.gated_idle_s", 0x0p+0},
+    {"metrics.faults_injected", 0},
+    {"metrics.carbon_g", 0x1.38a91e94a4358p-12},
+    {"tenants.size", 3},
+    {"tenants[0].priority", 0},
+    {"tenants[0].offered", 50},
+    {"tenants[0].completed", 50},
+    {"tenants[0].shed", 0},
+    {"tenants[0].batches", 50},
+    {"tenants[0].throughput_rps", 0x1.d8f2161d3d685p+7},
+    {"tenants[0].goodput_rps", 0x1.d8f2161d3d685p+7},
+    {"tenants[0].mean_latency_s", 0x1.c3c6186576b97p-9},
+    {"tenants[0].p50_s", 0x1.b3c2c2845377p-9},
+    {"tenants[0].p95_s", 0x1.4fa6051103dc8p-8},
+    {"tenants[0].p99_s", 0x1.78ab63857b9p-8},
+    {"tenants[0].max_latency_s", 0x1.78ab63857b9p-8},
+    {"tenants[0].sla_s", 0x1.c75cae96268e5p-6},
+    {"tenants[0].sla_violation_rate", 0x0p+0},
+    {"tenants[0].mean_batch", 0x1p+0},
+    {"tenants[0].busy_s", 0x1.fbeff3bc1e8eep-4},
+    {"tenants[0].utilization", 0x1.2c488ebff6c3ep-1},
+    {"tenants[0].energy_j", 0x1.0f27bdf3fd7c2p+1},
+    {"tenants[0].energy_per_request_j", 0x1.5b14265707054p-5},
+    {"tenants[0].shared_wait_s", 0x1.7eab4b27017aep-9},
+    {"tenants[0].resipi_wait_s", 0x0p+0},
+    {"tenants[0].resipi_conflicts", 0},
+    {"tenants[0].shared_handoffs", 0},
+    {"tenants[0].handoff_resipi_s", 0x0p+0},
+    {"tenants[0].ttft_p99_s", 0x1.37774bc960a8p-10},
+    {"tenants[0].decode_tps", 0x1.f5528814c1178p+9},
+    {"tenants[0].kv_peak_bytes", 1048576},
+    {"tenants[0].abandoned", 0},
+    {"tenants[0].retries", 0},
+    {"tenants[0].gate_events", 0},
+    {"tenants[0].gated_idle_s", 0x0p+0},
+    {"tenants[1].priority", 1},
+    {"tenants[1].offered", 50},
+    {"tenants[1].completed", 50},
+    {"tenants[1].shed", 0},
+    {"tenants[1].batches", 38},
+    {"tenants[1].throughput_rps", 0x1.d8f2161d3d685p+7},
+    {"tenants[1].goodput_rps", 0x0p+0},
+    {"tenants[1].mean_latency_s", 0x1.03dfad62cdbefp-9},
+    {"tenants[1].p50_s", 0x1.09d09e473d28p-10},
+    {"tenants[1].p95_s", 0x1.7ec9730c5bf8p-8},
+    {"tenants[1].p99_s", 0x1.35e97a712a674p-7},
+    {"tenants[1].max_latency_s", 0x1.35e97a712a674p-7},
+    {"tenants[1].sla_s", 0x1.f0cafb22ea9d8p-14},
+    {"tenants[1].sla_violation_rate", 0x1p+0},
+    {"tenants[1].mean_batch", 0x1.50d79435e50d8p+0},
+    {"tenants[1].busy_s", 0x1.fb00c168b1b1p-12},
+    {"tenants[1].utilization", 0x1.2bbb261d632bdp-9},
+    {"tenants[1].energy_j", 0x1.0eee52da08457p-7},
+    {"tenants[1].energy_per_request_j", 0x1.5acaa77d7b3a3p-13},
+    {"tenants[1].shared_wait_s", 0x1.50284911abab8p-5},
+    {"tenants[1].resipi_wait_s", 0x0p+0},
+    {"tenants[1].resipi_conflicts", 0},
+    {"tenants[1].shared_handoffs", 31},
+    {"tenants[1].handoff_resipi_s", 0x1.040bfe3b03e22p-15},
+    {"tenants[1].ttft_p99_s", 0x0p+0},
+    {"tenants[1].decode_tps", 0x0p+0},
+    {"tenants[1].kv_peak_bytes", 0},
+    {"tenants[1].abandoned", 0},
+    {"tenants[1].retries", 0},
+    {"tenants[1].gate_events", 0},
+    {"tenants[1].gated_idle_s", 0x0p+0},
+    {"tenants[2].priority", 0},
+    {"tenants[2].offered", 50},
+    {"tenants[2].completed", 50},
+    {"tenants[2].shed", 0},
+    {"tenants[2].batches", 38},
+    {"tenants[2].throughput_rps", 0x1.d8f2161d3d685p+7},
+    {"tenants[2].goodput_rps", 0x1.5dfad2ecad71p+7},
+    {"tenants[2].mean_latency_s", 0x1.9a7896278ff17p-9},
+    {"tenants[2].p50_s", 0x1.70ef0a858a6cp-9},
+    {"tenants[2].p95_s", 0x1.f10547509054p-8},
+    {"tenants[2].p99_s", 0x1.459451fb5983p-7},
+    {"tenants[2].max_latency_s", 0x1.459451fb5983p-7},
+    {"tenants[2].sla_s", 0x1.0f0ee67e3742p-8},
+    {"tenants[2].sla_violation_rate", 0x1.0a3d70a3d70a4p-2},
+    {"tenants[2].mean_batch", 0x1.50d79435e50d8p+0},
+    {"tenants[2].busy_s", 0x1.253c9979774ebp-6},
+    {"tenants[2].utilization", 0x1.5ab66b411c481p-4},
+    {"tenants[2].energy_j", 0x1.dec20491709f4p-2},
+    {"tenants[2].energy_per_request_j", 0x1.3267b100ebeb1p-7},
+    {"tenants[2].shared_wait_s", 0x1.2c98e325efd4dp-4},
+    {"tenants[2].resipi_wait_s", 0x1.ccbec19b32p-16},
+    {"tenants[2].resipi_conflicts", 1},
+    {"tenants[2].shared_handoffs", 31},
+    {"tenants[2].handoff_resipi_s", 0x1.040bfe3b03e22p-15},
+    {"tenants[2].ttft_p99_s", 0x0p+0},
+    {"tenants[2].decode_tps", 0x0p+0},
+    {"tenants[2].kv_peak_bytes", 0},
+    {"tenants[2].abandoned", 0},
+    {"tenants[2].retries", 0},
+    {"tenants[2].gate_events", 0},
+    {"tenants[2].gated_idle_s", 0x0p+0},
+    {"classes.size", 2},
+    {"classes[0].priority", 0},
+    {"classes[0].offered", 100},
+    {"classes[0].completed", 100},
+    {"classes[0].shed", 0},
+    {"classes[0].abandoned", 0},
+    {"classes[0].p99_s", 0x1.36545563b47ap-7},
+    {"classes[0].sla_violation_rate", 0x1.0a3d70a3d70a4p-3},
+    {"classes[0].goodput_rps", 0x1.9b767484f56cap+8},
+    {"classes[1].priority", 1},
+    {"classes[1].offered", 50},
+    {"classes[1].completed", 50},
+    {"classes[1].shed", 0},
+    {"classes[1].abandoned", 0},
+    {"classes[1].p99_s", 0x1.35e97a712a674p-7},
+    {"classes[1].sla_violation_rate", 0x1p+0},
+    {"classes[1].goodput_rps", 0x0p+0},
+    {"day_curve.size", 0},
+    {"batches.size", 1588},
+};
+const GoldenDigest kMixedLayerContDigests[] = {
+    {"batches", 0x9b1ff2c1bbb9a2e9ULL},
+    {"tenant_latencies", 0x08b916ad8709d268ULL},
+    {"chiplet_busy_s", 0xc29be9d0456ac51fULL},
+    {"ledger", 0xfc01f641a870cee7ULL},
+};
 // clang-format on
 
 // ------------------------------------------------------------------ tests
@@ -2108,6 +2462,32 @@ TEST(ServingGolden, ElasticRepartitionFaultRetryGating) {
   ASSERT_GT(report.metrics.repartitions, 0u);
   ASSERT_FALSE(report.day_curve.empty());
   expect_golden(flat_of(report), "kElastic", kElastic, kElasticDigests);
+}
+
+/// Both mixed layer-mode runs must exercise the contention they pin:
+/// shared-group handoffs, and a shared wait for every tenant.
+void expect_mixed_contention(const ServingReport& report) {
+  ASSERT_GT(report.metrics.shared_handoffs, 0u);
+  ASSERT_EQ(report.tenants.size(), 3u);
+  for (const TenantReport& tenant : report.tenants) {
+    ASSERT_GT(tenant.shared_wait_s, 0.0) << tenant.name;
+  }
+}
+
+TEST(ServingGolden, LayerGranularMixedSizeBatchedTransformer) {
+  const ServingReport report =
+      simulate(mixed_layer_config(BatchPolicy::kFixedSize));
+  expect_mixed_contention(report);
+  expect_golden(flat_of(report), "kMixedLayerSize", kMixedLayerSize,
+                kMixedLayerSizeDigests);
+}
+
+TEST(ServingGolden, LayerGranularMixedContinuousTransformer) {
+  const ServingReport report =
+      simulate(mixed_layer_config(BatchPolicy::kContinuous));
+  expect_mixed_contention(report);
+  expect_golden(flat_of(report), "kMixedLayerCont", kMixedLayerCont,
+                kMixedLayerContDigests);
 }
 
 TEST(ServingGolden, ReplicatedLeastLoadedRack) {
