@@ -348,34 +348,19 @@ ClusterReport simulate(const ClusterConfig& config) {
       breakdown.report = futures[p]->get();
       breakdown.active = true;
       const serve::ServingMetrics& pm = breakdown.report.metrics;
-      rack.offered += pm.offered;
-      rack.completed += pm.completed;
-      rack.shed += pm.shed;
-      rack.energy_j += pm.energy_j;
-      rack.resipi_conflicts += pm.resipi_conflicts;
-      rack.resipi_wait_s += pm.resipi_wait_s;
-      rack.shared_handoffs += pm.shared_handoffs;
-      rack.handoff_resipi_s += pm.handoff_resipi_s;
+      serve::add_counters(rack, pm);
       rack.service_cache_hits += pm.service_cache_hits;
       rack.service_cache_misses += pm.service_cache_misses;
       rack.sim_events += pm.sim_events;
       rack.sim_event_queue_peak =
           std::max(rack.sim_event_queue_peak, pm.sim_event_queue_peak);
-      // Token-level rack view: generated throughput sums across packages;
-      // KV peak and TTFT p99 take the worst package (raw TTFT samples are
-      // not exported, so the pooled quantile is approximated by the max —
+      // TTFT p99 takes the worst package (raw TTFT samples are not
+      // exported, so the pooled quantile is approximated by the max —
       // exact for a 1-package rack).
-      rack.decode_tps += pm.decode_tps;
-      rack.kv_peak_bytes = std::max(rack.kv_peak_bytes, pm.kv_peak_bytes);
       rack.ttft_p99_s = std::max(rack.ttft_p99_s, pm.ttft_p99_s);
-      // Elastic counters sum across packages (each package runs its own
-      // policy instance on its own pool).
-      rack.abandoned += pm.abandoned;
-      rack.retries += pm.retries;
+      // Each package runs its own elastic policy instance on its own pool.
       rack.repartitions += pm.repartitions;
       rack.repartition_resipi_s += pm.repartition_resipi_s;
-      rack.gate_events += pm.gate_events;
-      rack.gated_idle_s += pm.gated_idle_s;
       rack.faults_injected += pm.faults_injected;
       rack.carbon_g += pm.carbon_g;
       // Merge the package's day curve pointwise: buckets are indexed on

@@ -53,15 +53,6 @@ bool parse_unsigned(const std::string& text, unsigned& out) {
 
 }  // namespace
 
-bool ElasticSpec::any_fault_armed() const {
-  for (const FaultSpec& fault : faults) {
-    if (fault.armed()) {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool ElasticSpec::enabled() const { return !(*this == ElasticSpec{}); }
 
 std::string to_string(const ElasticSpec& spec) {

@@ -103,8 +103,6 @@ struct ElasticSpec {
   }
   /// True when shed requests are re-offered instead of dropped.
   [[nodiscard]] bool retrying() const { return retry_max_attempts > 0; }
-  /// True when at least one fault will fire.
-  [[nodiscard]] bool any_fault_armed() const;
   /// True when any elastic mechanism differs from the inert default.
   [[nodiscard]] bool enabled() const;
 

@@ -154,29 +154,4 @@ const core::RunResult& ServiceTimeOracle::decode_run(
   return phase_run(tenant, 1, batch, kv_bucket(tenant, kv_tokens));
 }
 
-const LayerSchedule& ServiceTimeOracle::prefill_schedule(
-    std::size_t tenant, unsigned batch, std::uint32_t tokens) {
-  const PhaseKey key{tenant, 0, batch, tokens};
-  if (const auto it = phase_schedules_.find(key);
-      it != phase_schedules_.end()) {
-    return it->second;
-  }
-  return phase_schedules_
-      .emplace(key, build_schedule(prefill_run(tenant, batch, tokens)))
-      .first->second;
-}
-
-const LayerSchedule& ServiceTimeOracle::decode_schedule(
-    std::size_t tenant, unsigned batch, std::uint32_t kv_tokens) {
-  const std::uint32_t bucket = kv_bucket(tenant, kv_tokens);
-  const PhaseKey key{tenant, 1, batch, bucket};
-  if (const auto it = phase_schedules_.find(key);
-      it != phase_schedules_.end()) {
-    return it->second;
-  }
-  return phase_schedules_
-      .emplace(key, build_schedule(decode_run(tenant, batch, bucket)))
-      .first->second;
-}
-
 }  // namespace optiplet::serve

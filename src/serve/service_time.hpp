@@ -115,16 +115,6 @@ class ServiceTimeOracle {
                                                   unsigned batch,
                                                   std::uint32_t kv_tokens);
 
-  /// Per-layer schedule of a prefill/decode phase run, for layer-granular
-  /// execution (transformer compute is dense-affine throughout, so these
-  /// collapse to one kDense100 stage).
-  [[nodiscard]] const LayerSchedule& prefill_schedule(std::size_t tenant,
-                                                      unsigned batch,
-                                                      std::uint32_t tokens);
-  [[nodiscard]] const LayerSchedule& decode_schedule(std::size_t tenant,
-                                                     unsigned batch,
-                                                     std::uint32_t kv_tokens);
-
   /// The memoization bucket a raw KV length prices at for `tenant`: the
   /// length rounded up to a multiple of 64, clamped into the model's
   /// context window ([0, max_context - 1]). Monotone in kv_tokens, so
@@ -158,7 +148,6 @@ class ServiceTimeOracle {
   std::map<std::pair<std::size_t, unsigned>, core::RunResult> cache_;
   std::map<std::pair<std::size_t, unsigned>, LayerSchedule> schedules_;
   std::map<PhaseKey, core::RunResult> phase_cache_;
-  std::map<PhaseKey, LayerSchedule> phase_schedules_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -4,6 +4,7 @@
 /// tail-latency/throughput/energy metrics, plus the optional per-batch
 /// execution trace the co-location invariant tests consume.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -229,6 +230,27 @@ struct ServingReport {
 /// Exact nearest-rank quantile of `values` (copied and sorted internally);
 /// q in (0, 1]. Returns 0 for an empty sample.
 [[nodiscard]] double exact_quantile(std::vector<double> values, double q);
+
+/// Pool the counters a part (a TenantReport into the lone aggregate, or a
+/// package's ServingMetrics into the rack) shares with its whole: sums,
+/// except the KV peak, which takes the largest part.
+template <typename Part>
+void add_counters(ServingMetrics& m, const Part& part) {
+  m.offered += part.offered;
+  m.completed += part.completed;
+  m.shed += part.shed;
+  m.energy_j += part.energy_j;
+  m.resipi_conflicts += part.resipi_conflicts;
+  m.resipi_wait_s += part.resipi_wait_s;
+  m.shared_handoffs += part.shared_handoffs;
+  m.handoff_resipi_s += part.handoff_resipi_s;
+  m.decode_tps += part.decode_tps;
+  m.kv_peak_bytes = std::max(m.kv_peak_bytes, part.kv_peak_bytes);
+  m.abandoned += part.abandoned;
+  m.retries += part.retries;
+  m.gate_events += part.gate_events;
+  m.gated_idle_s += part.gated_idle_s;
+}
 
 /// Completion latencies pooled across tenants, each sample judged against
 /// its own tenant's SLA and filed under the tenant's priority class, and

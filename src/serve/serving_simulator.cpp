@@ -31,7 +31,6 @@ constexpr std::size_t kNoTenant = static_cast<std::size_t>(-1);
 /// exclusive resource (an owned group, or the shared-serial pool).
 struct ExecStage {
   std::size_t resource = 0;
-  bool shared = false;
   /// Prefix offsets within the batch (see serve::PipelineStage): an
   /// unstalled chain telescopes exactly to the batch-granular end time.
   double start_offset_s = 0.0;
@@ -50,21 +49,25 @@ struct InFlightBatch {
   /// Start of stage 0 after ReSiPI adjustment: the anchor every
   /// unstalled stage's end time telescopes from.
   double batch_start_s = 0.0;
-  double wait_since_s = 0.0;  ///< when it queued on the current resource
 };
 
-/// An exclusive, FIFO-granted chiplet-group resource (layer mode).
+/// One unit of work queued on a busy resource: a pipeline stage, or (null
+/// `stage`) tenant-level work — a whole batch or a continuous iteration.
+struct Waiter {
+  std::size_t tenant = 0;
+  std::shared_ptr<InFlightBatch> stage;
+  double since_s = 0.0;  ///< when it queued
+};
+
+/// An exclusive chiplet-group resource, granted priority-first and FIFO
+/// within a class.
 struct Resource {
   bool busy = false;
   bool shared = false;
   std::vector<std::size_t> chiplets;  ///< pool-global ids
-  std::deque<std::shared_ptr<InFlightBatch>> waiters;
-  /// Tenant-level waiters (variable-length tenants serving batch-granular
-  /// or continuous iterations under layer mode): whole units of work
-  /// queued on this resource alongside the stage waiters above.
-  std::deque<std::size_t> tenant_waiters;
-  /// Last tenant that executed on this resource — a different acquirer
-  /// pays the cross-tenant handoff retune (shared resources only).
+  std::deque<Waiter> waiters;
+  /// Last tenant that executed a stage on this resource — a different
+  /// acquirer pays the cross-tenant handoff retune (shared resources only).
   std::size_t last_tenant = kNoTenant;
 };
 
@@ -84,7 +87,6 @@ struct TenantState {
   std::size_t next_arrival = 0;
   std::uint64_t next_id = 0;
   bool arrivals_done = false;
-  bool busy = false;
   bool timer_armed = false;
 
   // --- closed-loop client pool ---
@@ -107,8 +109,10 @@ struct TenantState {
   double last_arrival_s = -1.0;
   /// Batch formed but waiting for the shared-serial chiplets.
   std::vector<Request> pending;
-  double pending_since = 0.0;
   bool needs_shared = false;
+  /// Tenant-level work (a pending batch or the next continuous iteration)
+  /// is queued on the shared pool.
+  bool waiting_shared = false;
   std::vector<std::size_t> occupancy;
   std::vector<double> latencies;
   TenantReport report;
@@ -163,7 +167,6 @@ struct TenantState {
   unsigned cont_slots = 1;
   std::vector<ActiveSeq> active;  ///< the running decode set
   bool iter_running = false;
-  bool iter_waiting_shared = false;
   /// Busy-period anchor + running accumulator: iteration k ends at
   /// exactly origin + (accum += dt_k), so an unstalled single-request
   /// period telescopes bit-for-bit to the static whole-request price.
@@ -182,7 +185,8 @@ struct TenantState {
   /// Resolved stage chains per batch size (pointers into this map are
   /// handed to in-flight batches; std::map keeps them stable).
   std::map<unsigned, std::vector<ExecStage>> stage_cache;
-  /// Batches in flight; bounded by the stage chain's distinct resources.
+  /// Batches in flight (a pending one included); bounded by the stage
+  /// chain's distinct resources, 1 for whole batches.
   std::size_t inflight = 0;
   std::size_t pipeline_depth = 1;
   std::uint64_t batch_seq = 0;
@@ -203,18 +207,14 @@ struct Engine {
   std::vector<TenantState> tenants;
   ServingReport report;
 
-  // Shared-serial chiplet pool: exclusive, FIFO-granted.
-  bool shared_busy = false;
-  std::deque<std::size_t> shared_waiters;
-
   // ReSiPI serialization: one reconfiguration window at a time on the
   // shared interposer; a tenant never conflicts with itself (its own
   // reconfigurations are part of its serialized batches).
   std::size_t resipi_holder = kNoTenant;
   double resipi_free_at = 0.0;
 
-  // Layer-granular mode: exclusive chiplet-group resources. Index 0 is
-  // the shared-serial pool; owned groups follow per tenant.
+  // Exclusive chiplet-group resources. Index 0 is the shared-serial pool
+  // (both modes); in layer-granular mode owned groups follow per tenant.
   std::vector<Resource> resources;
 
   double last_completion_s = 0.0;
@@ -371,10 +371,6 @@ struct Engine {
     }
   }
 
-  [[nodiscard]] bool layer_mode() const {
-    return config.pipeline == PipelineMode::kLayerGranular;
-  }
-
   /// Record that a tenant of `priority` holds shared-serial capacity
   /// until `end` (feeds the class-aware admission estimate).
   void note_shared_busy_until(unsigned priority, double end) {
@@ -440,56 +436,47 @@ struct Engine {
     return total;
   }
 
-  /// Acquire the shared-serial pool for tenant-level work (a
-  /// variable-length batch or a continuous iteration); false = queued.
-  /// Batch mode uses the batch engine's lock; layer mode queues on the
-  /// shared Resource so stage-granular tenants and whole-batch tenants
-  /// contend on the same physical chiplets.
-  [[nodiscard]] bool acquire_shared_for_tenant(std::size_t t) {
-    if (layer_mode()) {
-      Resource& r = resources[0];
-      if (r.busy) {
-        r.tenant_waiters.push_back(t);
-        return false;
-      }
-      r.busy = true;
+  /// Take the shared-serial pool for tenant-level work (a whole batch or
+  /// a continuous iteration) if tenant `t` needs it. False = queued on
+  /// resources[0] beside any stage waiters; release_resource grants it
+  /// later through grant_tenant.
+  [[nodiscard]] bool acquire_shared(std::size_t t) {
+    TenantState& ts = tenants[t];
+    if (!ts.needs_shared) {
       return true;
     }
-    if (shared_busy) {
-      shared_waiters.push_back(t);
+    Resource& r = resources[0];
+    if (r.busy) {
+      r.waiters.push_back({t, nullptr, events.now()});
+      ts.waiting_shared = true;
       return false;
     }
-    shared_busy = true;
+    r.busy = true;
+    ts.holds_shared = true;
     return true;
   }
 
-  /// Hand the (still-held) shared pool to a tenant-level waiter.
-  void grant_tenant_shared(std::size_t w, double now) {
-    TenantState& waiter = tenants[w];
-    waiter.holds_shared = true;
-    waiter.report.shared_wait_s += now - waiter.pending_since;
-    if (waiter.iter_waiting_shared) {
-      waiter.iter_waiting_shared = false;
-      continuous_iterate(w);
+  /// Hand the still-held shared pool to tenant `t`'s queued work.
+  void grant_tenant(std::size_t t) {
+    TenantState& ts = tenants[t];
+    ts.waiting_shared = false;
+    ts.holds_shared = true;
+    if (ts.continuous) {
+      continuous_iterate(t);
     } else {
-      std::vector<Request> pending = std::move(waiter.pending);
-      waiter.pending.clear();
-      begin_execution(w, std::move(pending));
+      begin_execution(t, std::exchange(ts.pending, {}));
     }
   }
 
-  /// Release the shared pool after tenant-level work (batch mode lock, or
-  /// the layer-mode shared Resource), granting priority-first.
-  void release_shared_from_tenant(double now) {
-    if (layer_mode()) {
+  /// Release the shared pool after tenant-level work. Keyed on
+  /// holds_shared, not needs_shared: a re-partition may have flipped
+  /// needs_shared while the work held the lock.
+  void release_shared(std::size_t t) {
+    TenantState& ts = tenants[t];
+    if (ts.holds_shared) {
+      ts.holds_shared = false;
       release_resource(0);
-      return;
     }
-    if (shared_waiters.empty()) {
-      shared_busy = false;
-      return;
-    }
-    grant_tenant_shared(pop_shared_waiter(), now);
   }
 
   /// Per-phase spans of a variable-length batch on the tenant's executor
@@ -538,16 +525,30 @@ struct Engine {
     }
   }
 
-  /// Per-dispatch metrics shared by both pipeline modes (`run` is the
-  /// batch's oracle result, in scope only at dispatch).
-  void record_dispatch_metrics(unsigned batch_size,
-                               const core::RunResult& run) {
-    if (rec->metering()) {
+  /// Count one dispatch group of `size` requests (a whole batch, stage 0
+  /// of a pipelined batch, or a prefill iteration) retuned to `run`'s
+  /// gateway configuration.
+  void count_dispatch(std::size_t t, unsigned size,
+                      const core::RunResult& run) {
+    tenants[t].report.batches += 1;
+    if (rec != nullptr && rec->metering()) {
       obs::MetricsRegistry& m = rec->metrics();
       m.add("serve.batches");
-      m.observe("serve.batch_size", static_cast<double>(batch_size));
+      m.observe("serve.batch_size", static_cast<double>(size));
       m.set("resipi.active_gateways", run.mean_active_gateways);
-      m.add("serve.energy_j", run.energy_j);
+    }
+  }
+
+  /// Charge `energy_j` of work starting at `start` to `into` (the tenant
+  /// report, or a continuous tenant's busy-period accumulator), to the
+  /// day-curve bucket of `start` and to the serve.energy_j counter.
+  void charge_energy(double& into, double start, double energy_j) {
+    into += energy_j;
+    if (DayPoint* bucket = curve_bucket(start)) {
+      bucket->energy_j += energy_j;
+    }
+    if (rec != nullptr && rec->metering()) {
+      rec->metrics().add("serve.energy_j", energy_j);
     }
   }
 
@@ -606,11 +607,10 @@ struct Engine {
     std::size_t inflight = 0;
     for (const TenantState& ts : tenants) {
       depth += ts.queue.size();
-      inflight += (ts.busy ? 1 : 0) + ts.inflight;
-      active = active || !ts.arrivals_done || ts.busy || ts.inflight > 0 ||
-               ts.queue.size() > 0 || !ts.pending.empty() ||
-               !ts.active.empty() || ts.iter_running ||
-               ts.iter_waiting_shared;
+      inflight += ts.inflight;
+      active = active || !ts.arrivals_done || ts.inflight > 0 ||
+               ts.queue.size() > 0 || ts.waiting_shared ||
+               !ts.active.empty() || ts.iter_running;
     }
     obs::MetricsRegistry& m = rec->metrics();
     m.set("serve.queue_depth", static_cast<double>(depth));
@@ -1110,18 +1110,38 @@ struct Engine {
     });
   }
 
+  /// Dispatch ready batches while the tenant has pipeline depth to spare:
+  /// a stage chain in layer-granular mode, else a whole batch at depth 1 —
+  /// including variable-length tenants under layer mode, whose
+  /// dense-affine stage chain collapses to one stage, so whole-batch
+  /// execution is the pipelined schedule.
   void try_dispatch(std::size_t t) {
     TenantState& ts = tenants[t];
     if (ts.continuous) {
       continuous_step(t);
-    } else if (config.pipeline == PipelineMode::kLayerGranular &&
-               !ts.var_length) {
-      try_dispatch_layer(t);
-    } else {
-      // Batch-granular — including variable-length tenants under layer
-      // mode: their dense-affine stage chain collapses to one stage, so
-      // whole-batch execution is the pipelined schedule.
-      try_dispatch_batch(t);
+      return;
+    }
+    const bool staged =
+        config.pipeline == PipelineMode::kLayerGranular && !ts.var_length;
+    while (ts.inflight < ts.pipeline_depth) {
+      if (!ts.queue.ready(events.now(), ts.arrivals_done)) {
+        arm_deadline_timer(t);
+        return;
+      }
+      std::vector<Request> batch = ts.queue.take(ts.arrivals_done);
+      ts.inflight += 1;
+      if (staged) {
+        auto b = std::make_shared<InFlightBatch>();
+        b->tenant = t;
+        b->id = ts.batch_seq++;
+        b->stages = &exec_stages(t, static_cast<unsigned>(batch.size()));
+        b->requests = std::move(batch);
+        request_stage(std::move(b));
+      } else if (acquire_shared(t)) {
+        begin_execution(t, std::move(batch));
+      } else {
+        ts.pending = std::move(batch);
+      }
     }
   }
 
@@ -1136,29 +1156,6 @@ struct Engine {
         try_dispatch(t);
       });
     }
-  }
-
-  void try_dispatch_batch(std::size_t t) {
-    TenantState& ts = tenants[t];
-    if (ts.busy) {
-      return;
-    }
-    const double now = events.now();
-    if (!ts.queue.ready(now, ts.arrivals_done)) {
-      arm_deadline_timer(t);
-      return;
-    }
-    std::vector<Request> batch = ts.queue.take(ts.arrivals_done);
-    ts.busy = true;
-    if (ts.needs_shared) {
-      if (!acquire_shared_for_tenant(t)) {
-        ts.pending = std::move(batch);
-        ts.pending_since = now;
-        return;
-      }
-      ts.holds_shared = true;
-    }
-    begin_execution(t, std::move(batch));
   }
 
   void begin_execution(std::size_t t, std::vector<Request> batch) {
@@ -1196,13 +1193,9 @@ struct Engine {
       note_shared_busy_until(ts.priority, end);
     }
     charge_busy(t, start, end);
-    ts.report.energy_j += energy_j;
-    ts.report.batches += 1;
-    if (DayPoint* bucket = curve_bucket(start)) {
-      bucket->energy_j += energy_j;
-    }
+    count_dispatch(t, batch_size, run);
+    charge_energy(ts.report.energy_j, start, energy_j);
     if (rec != nullptr) {
-      record_dispatch_metrics(batch_size, run);
       record_batch_trace(t, batch, start, end);
     }
     record_batch(t, batch_size, start, end, resipi_window_s, ts.occupancy);
@@ -1258,30 +1251,6 @@ struct Engine {
     });
   }
 
-  /// Iterator to the next waiter to grant: highest priority class first
-  /// (lowest number wins; strict <, so FIFO within a class — a
-  /// single-class run grants in exactly the arrival order it always
-  /// did). `tenant_of` projects a waiter entry to its tenant index.
-  template <typename Deque, typename Proj>
-  auto best_waiter(Deque& waiters, Proj tenant_of) {
-    auto best = waiters.begin();
-    for (auto it = std::next(best); it != waiters.end(); ++it) {
-      if (tenants[tenant_of(*it)].priority <
-          tenants[tenant_of(*best)].priority) {
-        best = it;
-      }
-    }
-    return best;
-  }
-
-  std::size_t pop_shared_waiter() {
-    const auto best =
-        best_waiter(shared_waiters, [](std::size_t t) { return t; });
-    const std::size_t w = *best;
-    shared_waiters.erase(best);
-    return w;
-  }
-
   /// Completion bookkeeping shared by every execution path: latency
   /// samples, counters, the day-curve bucket, observability, and one
   /// closed-loop re-issue per response (issued before the caller
@@ -1305,6 +1274,9 @@ struct Engine {
     last_completion_s = std::max(last_completion_s, now);
   }
 
+  /// A batch left the executor — a whole batch, or the last stage of a
+  /// pipelined one. The tenant goes idle (gating may start) when its
+  /// in-flight count reaches 0.
   void complete(std::size_t t, const std::vector<Request>& batch) {
     TenantState& ts = tenants[t];
     const double now = events.now();
@@ -1317,17 +1289,11 @@ struct Engine {
       kv_update(t, footprint, false);
     }
     retire_requests(t, batch, now);
-    ts.busy = false;
-    if (config.elastic.gate) {
+    ts.inflight -= 1;
+    if (config.elastic.gate && ts.inflight == 0) {
       ts.idle_since_s = now;  // closed (or re-measured) at the next dispatch
     }
-    if (ts.holds_shared) {
-      // Release the shared pool; grant priority-first (FIFO in class).
-      // Keyed on holds_shared, not needs_shared: a re-partition may have
-      // flipped needs_shared while this batch held the lock.
-      ts.holds_shared = false;
-      release_shared_from_tenant(now);
-    }
+    release_shared(t);
     try_dispatch(t);
   }
 
@@ -1344,7 +1310,7 @@ struct Engine {
   /// (unless one is already in flight or queued on the shared pool).
   void continuous_step(std::size_t t) {
     TenantState& ts = tenants[t];
-    if (ts.iter_running || ts.iter_waiting_shared) {
+    if (ts.iter_running || ts.waiting_shared) {
       return;
     }
     const double now = events.now();
@@ -1375,21 +1341,18 @@ struct Engine {
       }
       return;  // busy period over; the next arrival restarts it
     }
-    if (ts.needs_shared) {
-      if (!acquire_shared_for_tenant(t)) {
-        ts.iter_waiting_shared = true;
-        ts.pending_since = now;
-        return;
-      }
-      ts.holds_shared = true;
+    if (acquire_shared(t)) {
+      continuous_iterate(t);
     }
-    continuous_iterate(t);
   }
 
-  /// Compose and run one iteration over the current set: a prefill
-  /// iteration when any admitted sequence has not prefilled yet (its
-  /// prompt is landed into the bubble before decoding resumes), a decode
-  /// iteration otherwise.
+  /// Compose, price and schedule one iteration over the current set: a
+  /// prefill iteration over the sequences not yet prefilled (`fresh`; the
+  /// prompts land in the bubble before decoding resumes), a decode
+  /// iteration over the whole set otherwise. Iteration ends accumulate as
+  /// origin + (accum += dt): the identical left-to-right fold
+  /// begin_execution_tokens performs, so a lone request's completion
+  /// matches the static kNone price bit-for-bit.
   void continuous_iterate(std::size_t t) {
     TenantState& ts = tenants[t];
     std::vector<std::size_t> fresh;
@@ -1398,16 +1361,6 @@ struct Engine {
         fresh.push_back(i);
       }
     }
-    run_cont_iteration(t, std::move(fresh));
-  }
-
-  /// Price and schedule one iteration. `fresh` names the sequences of a
-  /// prefill iteration (empty = decode iteration over the whole set).
-  /// Iteration ends accumulate as origin + (accum += dt): the identical
-  /// left-to-right fold begin_execution_tokens performs, so a lone
-  /// request's completion matches the static kNone price bit-for-bit.
-  void run_cont_iteration(std::size_t t, std::vector<std::size_t> fresh) {
-    TenantState& ts = tenants[t];
     const bool prefill_phase = !fresh.empty();
     double start = elastic_wake(t, events.now());
     const core::RunResult* run = nullptr;
@@ -1422,10 +1375,7 @@ struct Engine {
       // The prefill retunes gateways exactly like a batch dispatch;
       // decode iterations reuse the configuration and never retune.
       resipi_window_s = reserve_batch_window(t, *run, start);
-      ts.report.batches += 1;  // one dispatch group per prefill iteration
-      if (rec != nullptr) {
-        record_dispatch_metrics(static_cast<unsigned>(fresh.size()), *run);
-      }
+      count_dispatch(t, static_cast<unsigned>(fresh.size()), *run);
     } else {
       std::uint32_t kv_max = 0;
       for (const ActiveSeq& seq : ts.active) {
@@ -1453,11 +1403,8 @@ struct Engine {
       note_shared_busy_until(ts.priority, end);
     }
     charge_busy(t, start, end);
-    ts.energy_accum_j += run->energy_j;
+    charge_energy(ts.energy_accum_j, start, run->energy_j);
     report.ledger.merge(run->ledger);
-    if (DayPoint* bucket = curve_bucket(start)) {
-      bucket->energy_j += run->energy_j;
-    }
     const auto size =
         static_cast<unsigned>(prefill_phase ? fresh.size() : ts.active.size());
     if (rec != nullptr && rec->tracing()) {
@@ -1517,10 +1464,7 @@ struct Engine {
       kv_update(t, released, false);
       retire_requests(t, done, now);
     }
-    if (ts.holds_shared) {
-      ts.holds_shared = false;
-      release_shared_from_tenant(now);
-    }
+    release_shared(t);
     continuous_step(t);
   }
 
@@ -1563,7 +1507,6 @@ struct Engine {
       } else {
         ExecStage stage;
         stage.resource = resource;
-        stage.shared = shared;
         stage.start_offset_s = ps.start_offset_s;
         stage.end_offset_s = ps.end_offset_s;
         stage.first_layer = ps.first_layer;
@@ -1587,40 +1530,20 @@ struct Engine {
     return std::max<std::size_t>(seen.size(), 1);
   }
 
-  void try_dispatch_layer(std::size_t t) {
-    TenantState& ts = tenants[t];
-    while (ts.inflight < ts.pipeline_depth) {
-      const double now = events.now();
-      if (!ts.queue.ready(now, ts.arrivals_done)) {
-        arm_deadline_timer(t);
-        return;
-      }
-      std::vector<Request> batch = ts.queue.take(ts.arrivals_done);
-      const auto batch_size = static_cast<unsigned>(batch.size());
-      auto b = std::make_shared<InFlightBatch>();
-      b->tenant = t;
-      b->id = ts.batch_seq++;
-      b->requests = std::move(batch);
-      b->stages = &exec_stages(t, batch_size);
-      ts.inflight += 1;
-      request_stage(std::move(b));
-    }
-  }
-
   void request_stage(std::shared_ptr<InFlightBatch> b) {
     Resource& r = resources[(*b->stages)[b->stage].resource];
     if (r.busy) {
-      b->wait_since_s = events.now();
-      r.waiters.push_back(std::move(b));
+      r.waiters.push_back({b->tenant, std::move(b), events.now()});
       return;
     }
     r.busy = true;
     start_stage(std::move(b));
   }
 
-  /// Run one granted stage: apply ReSiPI serialization (the batch window
-  /// at stage 0, a retune window on every cross-tenant shared handoff),
-  /// charge busy/energy accounting, and schedule the stage-end event.
+  /// Run one granted stage: stage 0 wakes gated hardware and dispatches
+  /// the batch; ReSiPI serializes the batch window (stage 0) and a retune
+  /// on every cross-tenant shared handoff; busy time is charged and the
+  /// stage-end event scheduled.
   void start_stage(std::shared_ptr<InFlightBatch> b) {
     const std::size_t t = b->tenant;
     TenantState& ts = tenants[t];
@@ -1632,18 +1555,13 @@ struct Engine {
     double start = events.now();
     double resipi_window_s = 0.0;
     if (b->stage == 0) {
+      start = elastic_wake(t, start);
       const core::RunResult& run = oracle->batch_run(t, batch_size);
       // The batch's own reconfiguration window, as in batch-granular mode.
       resipi_window_s = reserve_batch_window(t, run, start);
-      ts.report.energy_j += run.energy_j;
-      ts.report.batches += 1;
+      count_dispatch(t, batch_size, run);
+      charge_energy(ts.report.energy_j, start, run.energy_j);
       report.ledger.merge(run.ledger);
-      if (DayPoint* bucket = curve_bucket(start)) {
-        bucket->energy_j += run.energy_j;
-      }
-      if (rec != nullptr) {
-        record_dispatch_metrics(batch_size, run);
-      }
       // Admission estimate: with the pipeline full, completions are one
       // bottleneck-amortized interval apart.
       ts.est_free_s =
@@ -1652,7 +1570,7 @@ struct Engine {
                               std::max<std::size_t>(ts.pipeline_depth, 1));
     }
     double handoff_s = 0.0;
-    if (s.shared && siph && r.last_tenant != kNoTenant &&
+    if (r.shared && siph && r.last_tenant != kNoTenant &&
         r.last_tenant != t) {
       // Cross-tenant handoff of the scarce group: retune its gateways for
       // the new tenant — one PCM write window, serialized on the shared
@@ -1666,7 +1584,7 @@ struct Engine {
       }
       resipi_window_s = std::max(resipi_window_s, handoff_s);
     }
-    if (s.shared) {
+    if (r.shared) {
       r.last_tenant = t;
     }
     if (b->stage == 0) {
@@ -1681,7 +1599,7 @@ struct Engine {
         (handoff_s == 0.0 && start == expected)
             ? b->batch_start_s + s.end_offset_s
             : start + (s.end_offset_s - s.start_offset_s) + handoff_s;
-    if (s.shared) {
+    if (r.shared) {
       // Feed the admission estimate's cross-tenant contention term.
       note_shared_busy_until(ts.priority, end);
     }
@@ -1707,56 +1625,39 @@ struct Engine {
     if (b->stage < b->stages->size()) {
       request_stage(std::move(b));
     } else {
-      complete_layer_batch(std::move(b));
+      complete(b->tenant, b->requests);
     }
   }
 
+  /// Free resource `id`, or hand it (still busy) to the first waiter with
+  /// the smallest (priority class, is tenant-level) pair: best class
+  /// first, FIFO within a class, and a pipeline stage ahead of
+  /// tenant-level work of its class.
   void release_resource(std::size_t id) {
     Resource& r = resources[id];
-    if (r.waiters.empty() && r.tenant_waiters.empty()) {
+    if (r.waiters.empty()) {
       r.busy = false;
       return;
     }
-    // Arbitrate across both waiter queues — stage-granular batches and
-    // whole-batch variable-length tenants contend on the same physical
-    // chiplets. Best priority class wins; stage waiters win ties (they
-    // hold upstream pipeline resources a stalled chain would deadlock).
-    const auto best_stage =
-        r.waiters.empty()
-            ? r.waiters.end()
-            : best_waiter(r.waiters,
-                          [](const std::shared_ptr<InFlightBatch>& b) {
-                            return b->tenant;
-                          });
-    const auto best_tenant =
-        r.tenant_waiters.empty()
-            ? r.tenant_waiters.end()
-            : best_waiter(r.tenant_waiters,
-                          [](std::size_t t) { return t; });
-    const bool take_tenant =
-        best_stage == r.waiters.end() ||
-        (best_tenant != r.tenant_waiters.end() &&
-         tenants[*best_tenant].priority <
-             tenants[(*best_stage)->tenant].priority);
-    if (take_tenant) {
-      const std::size_t w = *best_tenant;
-      r.tenant_waiters.erase(best_tenant);
-      grant_tenant_shared(w, events.now());  // the resource stays busy
-      return;
+    const auto rank = [this](const Waiter& w) {
+      return std::pair(tenants[w.tenant].priority, w.stage == nullptr);
+    };
+    auto best = r.waiters.begin();
+    for (auto it = std::next(best); it != r.waiters.end(); ++it) {
+      if (rank(*it) < rank(*best)) {
+        best = it;
+      }
     }
-    std::shared_ptr<InFlightBatch> next = std::move(*best_stage);
-    r.waiters.erase(best_stage);
+    Waiter next = std::move(*best);
+    r.waiters.erase(best);
     if (r.shared) {
-      tenants[next->tenant].report.shared_wait_s +=
-          events.now() - next->wait_since_s;
+      tenants[next.tenant].report.shared_wait_s += events.now() - next.since_s;
     }
-    start_stage(std::move(next));  // the resource stays busy
-  }
-
-  void complete_layer_batch(std::shared_ptr<InFlightBatch> b) {
-    retire_requests(b->tenant, b->requests, events.now());
-    tenants[b->tenant].inflight -= 1;
-    try_dispatch(b->tenant);
+    if (next.stage != nullptr) {
+      start_stage(std::move(next.stage));
+    } else {
+      grant_tenant(next.tenant);
+    }
   }
 };
 
@@ -2064,13 +1965,13 @@ ServingReport simulate(const ServingConfig& config) {
     }
     engine.tenants.push_back(std::move(state));
   }
+  // The exclusive chiplet-group resource table: the shared-serial pool
+  // first, then (layer-granular mode) every tenant's owned groups.
+  Resource shared;
+  shared.shared = true;
+  shared.chiplets = plan.shared_chiplets;
+  engine.resources.push_back(std::move(shared));
   if (config.pipeline == PipelineMode::kLayerGranular) {
-    // Build the exclusive chiplet-group resource table: the shared-serial
-    // pool first, then every tenant's owned groups.
-    Resource shared;
-    shared.shared = true;
-    shared.chiplets = plan.shared_chiplets;
-    engine.resources.push_back(std::move(shared));
     for (std::size_t t = 0; t < config.tenants.size(); ++t) {
       TenantState& ts = engine.tenants[t];
       for (const auto& [kind, ids] : plan.tenants[t].owned_by_kind) {
@@ -2201,18 +2102,15 @@ ServingReport simulate(const ServingConfig& config) {
       engine.close_gate_gap(t, engine.last_completion_s);
     }
   }
-  OPTIPLET_ASSERT(engine.shared_waiters.empty(),
-                  "serving drained with tenants still queued on the pool");
   for (const Resource& resource : engine.resources) {
-    OPTIPLET_ASSERT(!resource.busy && resource.waiters.empty() &&
-                        resource.tenant_waiters.empty(),
+    OPTIPLET_ASSERT(!resource.busy && resource.waiters.empty(),
                     "serving drained with a chiplet group still held");
   }
   for (const TenantState& ts : engine.tenants) {
     OPTIPLET_ASSERT(ts.inflight == 0,
                     "serving drained with batches still in flight");
     OPTIPLET_ASSERT(ts.active.empty() && !ts.iter_running &&
-                        !ts.iter_waiting_shared,
+                        !ts.waiting_shared,
                     "serving drained with sequences still decoding");
   }
 
@@ -2241,20 +2139,7 @@ ServingReport simulate(const ServingConfig& config) {
   for (std::size_t t = 0; t < engine.tenants.size(); ++t) {
     TenantState& ts = engine.tenants[t];
     finalize_tenant(ts, makespan);
-    m.offered += ts.report.offered;
-    m.completed += ts.report.completed;
-    m.shed += ts.report.shed;
-    m.energy_j += ts.report.energy_j;
-    m.resipi_conflicts += ts.report.resipi_conflicts;
-    m.resipi_wait_s += ts.report.resipi_wait_s;
-    m.shared_handoffs += ts.report.shared_handoffs;
-    m.handoff_resipi_s += ts.report.handoff_resipi_s;
-    m.decode_tps += ts.report.decode_tps;
-    m.kv_peak_bytes = std::max(m.kv_peak_bytes, ts.report.kv_peak_bytes);
-    m.abandoned += ts.report.abandoned;
-    m.retries += ts.report.retries;
-    m.gate_events += ts.report.gate_events;
-    m.gated_idle_s += ts.report.gated_idle_s;
+    add_counters(m, ts.report);
     all_ttfts.insert(all_ttfts.end(), ts.ttfts.begin(), ts.ttfts.end());
     batches += ts.report.batches;
     pool.add(ts.report, ts.latencies);

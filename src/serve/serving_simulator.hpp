@@ -19,13 +19,15 @@
 ///     past the tenant's SLA deadline (shed requests are counted, never
 ///     executed, and — closed loop — return to their user immediately);
 ///   * contended shared resources grant priority-class first (lower class
-///     wins, FIFO within a class);
+///     wins, FIFO within a class, a pipeline stage ahead of tenant-level
+///     work of its class);
 ///   * the tenant's executor is its chiplet partition
 ///     (serve::partition_pool): one batch in flight at a time, service
 ///     time = the oracle's batched full-system run (weights amortized,
 ///     activations scaled);
-///   * shared-serial chiplet groups (kinds too scarce to split) are an
-///     exclusive FIFO-granted lock, so no chiplet is ever double-booked;
+///   * shared-serial chiplet groups (kinds too scarce to split) are one
+///     exclusive resource, entry 0 of the engine's resource table in both
+///     pipeline modes, so no chiplet is ever double-booked;
 ///   * ReSiPI reconfigurations of different tenants on the shared
 ///     interposer are serialized: a batch that reconfigures gateways waits
 ///     for any other tenant's in-flight reconfiguration window.

@@ -1,6 +1,7 @@
 /// End-to-end observability contract of the serving simulator: span
 /// schema, request-span reconciliation against the report, nesting,
-/// shed-reason tagging, rack/lone trace equivalence, the guarantee that
+/// shed-reason tagging, rack/lone trace equivalence, the energy counter
+/// agreeing with the energy the report charges, the guarantee that
 /// attaching a recorder never changes results, and a documentation entry
 /// in docs/observability.md for every span and series name emitted.
 
@@ -14,6 +15,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster_simulator.hpp"
 #include "core/system_config.hpp"
@@ -205,6 +208,47 @@ TEST(ServingTrace, MetricsCoverTheAdvertisedSeries) {
   EXPECT_GE(recorder.metrics().series_count(), 10u);
   EXPECT_GT(recorder.metrics().samples().size(), 0u);
   EXPECT_DOUBLE_EQ(recorder.metrics().counter("serve.offered"), 150.0);
+}
+
+TEST(ServingTrace, EnergyCounterMatchesTheChargedTenantEnergy) {
+  // serve.energy_j counts exactly what the tenant reports charge: whole
+  // batches (all their decode steps included), pipelined batches and
+  // continuous iterations; the idle burn stays out of both.
+  serve::ServingSpec tokens;
+  tokens.tenant_mix = "TinyGPT+TinyGPT";
+  tokens.arrival_rps = 400.0;
+  tokens.requests = 80;
+  tokens.max_batch = 4;
+  tokens.prefill_tokens = 64;
+  tokens.decode_tokens = 16;
+  serve::ServingSpec fixed;
+  fixed.tenant_mix = "LeNet5+MobileNetV2";
+  fixed.arrival_rps = 2000.0;
+  fixed.requests = 200;
+  fixed.policy = serve::BatchPolicy::kDeadline;
+  std::vector<std::pair<std::string, serve::ServingSpec>> runs;
+  for (const auto policy :
+       {serve::BatchPolicy::kFixedSize, serve::BatchPolicy::kContinuous}) {
+    tokens.policy = policy;
+    runs.emplace_back(std::string("TinyGPT ") + to_string(policy), tokens);
+  }
+  for (const auto mode : {serve::PipelineMode::kBatchGranular,
+                          serve::PipelineMode::kLayerGranular}) {
+    fixed.pipeline = mode;
+    runs.emplace_back(std::string("CNN ") + to_string(mode), fixed);
+  }
+  for (const auto& [name, spec] : runs) {
+    Recorder recorder;
+    const serve::ServingReport report = run_with(spec, &recorder);
+    double charged_j = 0.0;
+    for (const serve::TenantReport& tenant : report.tenants) {
+      charged_j += tenant.energy_j;
+    }
+    ASSERT_GT(charged_j, 0.0) << name;
+    EXPECT_NEAR(recorder.metrics().counter("serve.energy_j"), charged_j,
+                1e-12 * charged_j)
+        << name;
+  }
 }
 
 TEST(ServingTrace, AttachingARecorderNeverChangesResults) {

@@ -14,8 +14,9 @@
 ///     (spread-0 contract);
 ///   * every re-partition charges exactly one ReSiPI PCM-write window
 ///     (the repartition mirror of the one-retune-per-handoff invariant);
-///   * power-gating removes measured idle energy from the ledger, and a
-///     dead-chiplet fault mid-run leaves a degraded but serving pool.
+///   * power-gating removes measured idle energy from the ledger and
+///     charges the wake in both pipeline modes, and a dead-chiplet fault
+///     mid-run leaves a degraded but serving pool.
 
 #include <gtest/gtest.h>
 
@@ -383,28 +384,35 @@ TEST(ElasticAccounting, EveryRepartitionChargesExactlyOneResipiWindow) {
 }
 
 TEST(ElasticGating, RemovesMeasuredIdleEnergyFromTheLedger) {
-  ServingSpec spec = base_spec("LeNet5", 500.0, 300);  // sparse: idle gaps
-  spec.sla_s = 0.01;  // roomier than the deadline wait: nothing sheds
-  const ServingReport fixed = run(spec);
+  // Both pipeline modes: a pipelined tenant goes idle when its last
+  // in-flight batch completes, and stage 0 of its next batch wakes it.
+  for (const PipelineMode mode :
+       {PipelineMode::kBatchGranular, PipelineMode::kLayerGranular}) {
+    SCOPED_TRACE(to_string(mode));
+    ServingSpec spec = base_spec("LeNet5", 500.0, 300);  // sparse: idle gaps
+    spec.sla_s = 0.01;  // roomier than the deadline wait: nothing sheds
+    spec.pipeline = mode;
+    const ServingReport fixed = run(spec);
 
-  ServingSpec gated_spec = spec;
-  gated_spec.elastic.gate = true;
-  gated_spec.elastic.gate_after_s = 1.0e-4;
-  gated_spec.elastic.wake_s = 1.0e-5;
-  const ServingReport gated = run(gated_spec);
+    ServingSpec gated_spec = spec;
+    gated_spec.elastic.gate = true;
+    gated_spec.elastic.gate_after_s = 1.0e-4;
+    gated_spec.elastic.wake_s = 1.0e-5;
+    const ServingReport gated = run(gated_spec);
 
-  EXPECT_GT(gated.metrics.gate_events, 0u);
-  EXPECT_GT(gated.metrics.gated_idle_s, 0.0);
-  EXPECT_EQ(gated.metrics.completed, fixed.metrics.completed);
-  const auto idle = [](const ServingReport& r) {
-    const auto it = r.ledger.entries().find("serving.idle");
-    return it == r.ledger.entries().end() ? 0.0
-                                          : it->second.dynamic_energy_j;
-  };
-  EXPECT_LT(idle(gated), idle(fixed));
-  EXPECT_LT(gated.metrics.energy_j, fixed.metrics.energy_j);
-  // Wake latency is charged: gating can only slow requests down.
-  EXPECT_GE(gated.metrics.mean_latency_s, fixed.metrics.mean_latency_s);
+    EXPECT_GT(gated.metrics.gate_events, 0u);
+    EXPECT_GT(gated.metrics.gated_idle_s, 0.0);
+    EXPECT_EQ(gated.metrics.completed, fixed.metrics.completed);
+    const auto idle = [](const ServingReport& r) {
+      const auto it = r.ledger.entries().find("serving.idle");
+      return it == r.ledger.entries().end() ? 0.0
+                                            : it->second.dynamic_energy_j;
+    };
+    EXPECT_LT(idle(gated), idle(fixed));
+    EXPECT_LT(gated.metrics.energy_j, fixed.metrics.energy_j);
+    // Every gated gap's dispatch pays the wake latency.
+    EXPECT_GT(gated.metrics.mean_latency_s, fixed.metrics.mean_latency_s);
+  }
 }
 
 TEST(ElasticFaults, DeadChipletDegradesButKeepsServing) {
