@@ -436,10 +436,10 @@ struct Engine {
     return total;
   }
 
-  /// Take the shared-serial pool for tenant-level work (a whole batch or
-  /// a continuous iteration) if tenant `t` needs it. False = queued on
-  /// resources[0] beside any stage waiters; release_resource grants it
-  /// later through grant_tenant.
+  /// Take the shared-serial pool for tenant `t`'s tenant-level work (a
+  /// whole batch or a continuous iteration); true when the tenant needs
+  /// no shared kind. False = queued on resources[0] beside any stage
+  /// waiters; release_resource grants it later through grant_tenant.
   [[nodiscard]] bool acquire_shared(std::size_t t) {
     TenantState& ts = tenants[t];
     if (!ts.needs_shared) {
