@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/units.hpp"
 
@@ -222,6 +229,296 @@ TEST(PhotonicCycleNet, GatewayWeightTracksActivation) {
   net.inject_read(0, 16'384);
   ASSERT_TRUE(net.run_until_drained(100'000));
   EXPECT_EQ(net.gateway_cycle_weight(), net.cycle() * 8u * 4u);
+}
+
+// ---- differential: per-cycle step() vs run_until_drained/advance_idle ----
+
+/// One injection of a seeded script, issued when the net reaches `cycle`.
+struct ScriptOp {
+  enum class Kind { kRead, kBroadcast, kWrite };
+  std::uint64_t cycle = 0;
+  Kind kind = Kind::kRead;
+  std::vector<std::size_t> targets;
+  std::uint64_t bits = 0;
+};
+
+/// Injections at non-decreasing cycles: bursts of same-cycle injections,
+/// short gaps that leave transfers in flight, and long idle gaps spanning
+/// several epochs. Sizes mix one-cycle transfers with ones large enough to
+/// upshift a chiplet and run across several epochs.
+std::vector<ScriptOp> make_script(std::uint64_t seed, std::size_t chiplets,
+                                  std::uint64_t epoch_cycles) {
+  std::mt19937_64 rng(seed);
+  const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+  const std::uint64_t large =
+      std::clamp<std::uint64_t>(150 * epoch_cycles, 2'000, 100'000);
+  std::vector<ScriptOp> ops(6 + pick(6));
+  std::uint64_t cycle = pick(50);
+  for (ScriptOp& op : ops) {
+    const std::uint64_t gap = pick(10);
+    if (gap >= 8) {
+      cycle += std::min<std::uint64_t>(2 * epoch_cycles, 1'000) + pick(200);
+    } else if (gap >= 3) {
+      cycle += pick(250);
+    }
+    op.cycle = cycle;
+    const std::uint64_t kind = pick(10);
+    op.kind = kind < 4   ? ScriptOp::Kind::kRead
+              : kind < 6 ? ScriptOp::Kind::kBroadcast
+                         : ScriptOp::Kind::kWrite;
+    op.targets.push_back(pick(chiplets));
+    if (op.kind == ScriptOp::Kind::kBroadcast) {
+      for (std::uint64_t extra = 1 + pick(3); extra > 0; --extra) {
+        const std::size_t c = pick(chiplets);
+        if (std::find(op.targets.begin(), op.targets.end(), c) ==
+            op.targets.end()) {
+          op.targets.push_back(c);
+        }
+      }
+    }
+    op.bits = pick(4) == 0 ? 1 + pick(120) : 400 + pick(large);
+  }
+  return ops;
+}
+
+void inject(PhotonicCycleNet& net, const ScriptOp& op) {
+  switch (op.kind) {
+    case ScriptOp::Kind::kRead:
+      net.inject_read(op.targets.front(), op.bits);
+      break;
+    case ScriptOp::Kind::kBroadcast:
+      net.inject_broadcast(op.targets, op.bits);
+      break;
+    case ScriptOp::Kind::kWrite:
+      net.inject_write(op.targets.front(), op.bits);
+      break;
+  }
+}
+
+/// Everything a run exposes: final state plus a checkpoint at every
+/// injection, so a divergence that later heals still shows.
+struct NetSnapshot {
+  std::vector<std::array<std::uint64_t, 6>> checkpoints;
+  std::uint64_t cycle = 0;
+  std::uint64_t gateway_cycle_weight = 0;
+  std::vector<CompletedTransfer> completed;
+  PhotonicCycleNetStats stats;
+  std::uint64_t reconfigurations = 0;
+  double reconfiguration_energy_j = 0.0;
+  std::vector<std::size_t> active_gateways;
+};
+
+std::array<std::uint64_t, 6> checkpoint(const PhotonicCycleNet& net) {
+  return {net.cycle(), net.gateway_cycle_weight(), net.stats().stall_cycles,
+          net.stats().epochs, net.completed().size(),
+          net.controller().reconfiguration_count()};
+}
+
+void finish(const PhotonicCycleNet& net, NetSnapshot& snap) {
+  snap.cycle = net.cycle();
+  snap.gateway_cycle_weight = net.gateway_cycle_weight();
+  snap.completed = net.completed();
+  snap.stats = net.stats();
+  snap.reconfigurations = net.controller().reconfiguration_count();
+  snap.reconfiguration_energy_j = net.controller().reconfiguration_energy_j();
+  for (std::size_t c = 0; c < net.chiplet_count(); ++c) {
+    snap.active_gateways.push_back(net.controller().active_gateways(c));
+  }
+}
+
+constexpr std::uint64_t kDrainGuard = 2'000'000;
+
+/// Reference: one step() per cycle, idle stretches included.
+NetSnapshot run_stepped(const PhotonicCycleNetConfig& cfg,
+                        const power::PhotonicTech& tech,
+                        const std::vector<ScriptOp>& ops,
+                        std::uint64_t idle_tail) {
+  PhotonicCycleNet net(cfg, tech);
+  NetSnapshot snap;
+  for (const ScriptOp& op : ops) {
+    while (net.cycle() < op.cycle) {
+      net.step();
+    }
+    snap.checkpoints.push_back(checkpoint(net));
+    inject(net, op);
+  }
+  for (std::uint64_t n = 0; n < kDrainGuard && !net.drained(); ++n) {
+    net.step();
+  }
+  for (std::uint64_t n = 0; n < idle_tail; ++n) {
+    net.step();
+  }
+  finish(net, snap);
+  return snap;
+}
+
+/// The same script through the bulk drivers: run_until_drained up to the
+/// next injection (often expiring mid-transfer), advance_idle over what
+/// is left of the gap once drained.
+NetSnapshot run_driven(const PhotonicCycleNetConfig& cfg,
+                       const power::PhotonicTech& tech,
+                       const std::vector<ScriptOp>& ops,
+                       std::uint64_t idle_tail) {
+  PhotonicCycleNet net(cfg, tech);
+  NetSnapshot snap;
+  for (const ScriptOp& op : ops) {
+    if (net.cycle() < op.cycle &&
+        net.run_until_drained(op.cycle - net.cycle())) {
+      net.advance_idle(op.cycle - net.cycle());
+    }
+    snap.checkpoints.push_back(checkpoint(net));
+    inject(net, op);
+  }
+  net.run_until_drained(kDrainGuard);
+  net.advance_idle(idle_tail);
+  finish(net, snap);
+  return snap;
+}
+
+void describe(std::ostringstream& out, const sim::RunningStat& a,
+              const sim::RunningStat& b, const char* name) {
+  if (a.count() != b.count() || a.mean() != b.mean() ||
+      a.variance() != b.variance() || a.min() != b.min() ||
+      a.max() != b.max()) {
+    out << name << " differs (count " << a.count() << " vs " << b.count()
+        << ", mean " << a.mean() << " vs " << b.mean() << ")";
+  }
+}
+
+/// Empty when the two runs agree bit for bit; else the first difference.
+std::string first_difference(const NetSnapshot& a, const NetSnapshot& b) {
+  std::ostringstream out;
+  for (std::size_t i = 0;
+       i < std::min(a.checkpoints.size(), b.checkpoints.size()); ++i) {
+    if (a.checkpoints[i] != b.checkpoints[i]) {
+      out << "checkpoint " << i << " (cycle " << a.checkpoints[i][0]
+          << ") differs";
+      return out.str();
+    }
+  }
+  if (a.completed.size() != b.completed.size()) {
+    out << "completed " << a.completed.size() << " vs "
+        << b.completed.size();
+    return out.str();
+  }
+  for (std::size_t i = 0; i < a.completed.size(); ++i) {
+    const CompletedTransfer& x = a.completed[i];
+    const CompletedTransfer& y = b.completed[i];
+    if (x.id != y.id || x.is_write != y.is_write ||
+        x.inject_cycle != y.inject_cycle || x.done_cycle != y.done_cycle) {
+      out << "completion " << i << ": id " << x.id << " done " << x.done_cycle
+          << " vs id " << y.id << " done " << y.done_cycle;
+      return out.str();
+    }
+  }
+  describe(out, a.stats.read_latency_cycles, b.stats.read_latency_cycles,
+           "read latency");
+  describe(out, a.stats.write_latency_cycles, b.stats.write_latency_cycles,
+           "write latency");
+  const auto counter = [&out](const char* name, std::uint64_t x,
+                              std::uint64_t y) {
+    if (x != y && out.tellp() == 0) {
+      out << name << " " << x << " vs " << y;
+    }
+  };
+  counter("read bits", a.stats.read_bits_delivered,
+          b.stats.read_bits_delivered);
+  counter("write bits", a.stats.write_bits_delivered,
+          b.stats.write_bits_delivered);
+  counter("reads", a.stats.reads_completed, b.stats.reads_completed);
+  counter("writes", a.stats.writes_completed, b.stats.writes_completed);
+  counter("epochs", a.stats.epochs, b.stats.epochs);
+  counter("stall cycles", a.stats.stall_cycles, b.stats.stall_cycles);
+  counter("cycle", a.cycle, b.cycle);
+  counter("gateway cycle weight", a.gateway_cycle_weight,
+          b.gateway_cycle_weight);
+  counter("reconfigurations", a.reconfigurations, b.reconfigurations);
+  if (out.tellp() == 0 &&
+      a.reconfiguration_energy_j != b.reconfiguration_energy_j) {
+    out << "reconfiguration energy differs";
+  }
+  if (out.tellp() == 0 && a.active_gateways != b.active_gateways) {
+    out << "active gateways differ";
+  }
+  return out.str();
+}
+
+struct DifferentialCase {
+  const char* name = "";
+  bool resipi = true;
+  double epoch_s = 0.1 * units::us;
+  double pcm_write_s = 20.0 * units::ns;
+  double rate_bps = 12.0 * units::Gbps;
+  double clock_hz = 2.0 * units::GHz;
+  photonics::ModulationFormat modulation = photonics::ModulationFormat::kOok;
+  std::size_t wavelengths = 64;
+  std::uint64_t scripts = 4;
+};
+
+TEST(PhotonicCycleNet, BulkDriversMatchPerCycleStepping) {
+  // Short epochs and PCM writes keep every script to a few thousand cycles
+  // while boundaries, upshifts, downshifts and stalls still land in the
+  // middle of transfers. The rates cover integral (6, 12), dyadic (3.5)
+  // and non-dyadic (3.33..., 2.33...) bits per channel per cycle.
+  const std::vector<DifferentialCase> cases = {
+      {.name = "ook-12G"},
+      {.name = "pam4-24G-16wl",
+       .modulation = photonics::ModulationFormat::kPam4,
+       .wavelengths = 16},
+      {.name = "resipi-off", .resipi = false},
+      {.name = "instant-pcm", .pcm_write_s = 0.0},
+      {.name = "long-pcm", .epoch_s = 0.2 * units::us,
+       .pcm_write_s = 150.0 * units::ns, .scripts = 3},
+      {.name = "3.5-bits", .rate_bps = 7.0 * units::Gbps},
+      {.name = "3.33-bits", .rate_bps = 10.0 * units::Gbps,
+       .clock_hz = 3.0 * units::GHz},
+      {.name = "2.33-bits-resipi-off", .resipi = false,
+       .rate_bps = 7.0 * units::Gbps, .clock_hz = 3.0 * units::GHz},
+      {.name = "3.33-bits-long-pcm", .epoch_s = 0.2 * units::us,
+       .pcm_write_s = 150.0 * units::ns, .rate_bps = 10.0 * units::Gbps,
+       .clock_hz = 3.0 * units::GHz, .wavelengths = 32, .scripts = 2},
+      // Every cycle is a boundary: nothing can be skipped.
+      {.name = "one-cycle-epoch", .epoch_s = 0.5 * units::ns,
+       .pcm_write_s = 2.0 * units::ns, .scripts = 2},
+  };
+
+  std::size_t scripts = 0;
+  std::vector<std::string> failures;
+  for (const DifferentialCase& dc : cases) {
+    PhotonicCycleNetConfig cfg;
+    cfg.resipi_enabled = dc.resipi;
+    cfg.resipi.epoch_s = dc.epoch_s;
+    cfg.interposer.data_rate_per_wavelength_bps = dc.rate_bps;
+    cfg.interposer.gateway_clock_hz = dc.clock_hz;
+    cfg.interposer.modulation = dc.modulation;
+    cfg.interposer.total_wavelengths = dc.wavelengths;
+    power::PhotonicTech tech;
+    tech.pcm.write_time_s = dc.pcm_write_s;
+    const PhotonicCycleNet probe(cfg, tech);
+    for (std::uint64_t s = 1; s <= dc.scripts; ++s) {
+      const std::uint64_t seed = s * 7919 + scripts;
+      const std::vector<ScriptOp> ops =
+          make_script(seed, probe.chiplet_count(), probe.epoch_cycles());
+      const std::uint64_t tail = 2 * probe.epoch_cycles() + 37;
+      const NetSnapshot stepped = run_stepped(cfg, tech, ops, tail);
+      const NetSnapshot driven = run_driven(cfg, tech, ops, tail);
+      ++scripts;
+      // Each script must drain and retire every injection.
+      EXPECT_EQ(stepped.completed.size(), ops.size()) << dc.name;
+      const std::string diff = first_difference(stepped, driven);
+      if (!diff.empty()) {
+        failures.push_back(std::string(dc.name) + " seed " +
+                           std::to_string(seed) + ": " + diff);
+      }
+    }
+  }
+  std::string report;
+  for (std::size_t i = 0; i < std::min<std::size_t>(failures.size(), 5);
+       ++i) {
+    report += "\n  " + failures[i];
+  }
+  EXPECT_TRUE(failures.empty()) << failures.size() << " of " << scripts
+                                << " scripts disagree:" << report;
 }
 
 }  // namespace
