@@ -25,6 +25,74 @@ std::uint64_t cycles_for(double seconds, double clock_hz) {
 /// floating-point remainder of fractional bits-per-cycle rates).
 constexpr double kRemainderTolerance = 1e-6;
 
+// ---- serialization countdown in bulk -----------------------------------
+//
+// A serializing transfer loses `per_cycle` bits each cycle
+// (`remaining -= per_cycle`) and retires in the first cycle that leaves
+// `remaining <= kRemainderTolerance`. A live transfer therefore holds more
+// than kRemainderTolerance bits.
+//
+// Closed form. When `remaining` and `per_cycle` are both integers below
+// 2^53, every operand and every difference `remaining - j * per_cycle`
+// along the way is an integer of magnitude below 2^53, which a double
+// represents exactly; IEEE subtraction of exactly representable values
+// whose exact difference is representable returns that difference. So k
+// cycles leave exactly `remaining - k * per_cycle`, an integer, which is
+// <= kRemainderTolerance exactly when it is <= 0: the transfer retires in
+// cycle k = ceil(remaining / per_cycle) >= 1. Integral rates cover every
+// in-repo configuration (12 Gb/s OOK or 24 Gb/s PAM-4 at a 2 GHz gateway
+// clock: 6 or 12 bits per channel per cycle), and payloads start integral.
+//
+// Replay. Any other pair (a fractional rate such as 10 Gb/s at 3 GHz, or
+// a remainder left fractional by one) replays the same subtraction one
+// cycle at a time, which rounds exactly as per-cycle stepping does.
+
+/// 2^53: every integer below it is exact as a double.
+constexpr double kExactIntegerLimit = 9007199254740992.0;
+
+bool exact_integer(double x) {
+  return x >= 0.0 && x < kExactIntegerLimit && x == std::floor(x);
+}
+
+/// The cycle (1-based from now) in which a live transfer retires, or
+/// `horizon + 1` when that is later than `horizon` cycles away. A zero
+/// rate never retires.
+std::uint64_t cycles_to_retire(double remaining, double per_cycle,
+                               std::uint64_t horizon) {
+  if (per_cycle <= 0.0) {
+    return horizon + 1;
+  }
+  if (exact_integer(remaining) && exact_integer(per_cycle)) {
+    const auto r = static_cast<std::uint64_t>(remaining);
+    const auto s = static_cast<std::uint64_t>(per_cycle);
+    return std::min(horizon + 1, (r + s - 1) / s);
+  }
+  std::uint64_t k = 0;
+  do {
+    remaining -= per_cycle;
+    ++k;
+  } while (remaining > kRemainderTolerance && k <= horizon);
+  return k;
+}
+
+/// Apply `span` cycles of serialization to a transfer that does not
+/// retire within them (span < cycles_to_retire(...)).
+void count_down(double& remaining, double per_cycle, std::uint64_t span) {
+  if (per_cycle <= 0.0) {
+    return;
+  }
+  if (exact_integer(remaining) && exact_integer(per_cycle)) {
+    // span * per_cycle < remaining < 2^53: exact in integers.
+    remaining = static_cast<double>(static_cast<std::uint64_t>(remaining) -
+                                    span * static_cast<std::uint64_t>(
+                                               per_cycle));
+    return;
+  }
+  for (std::uint64_t j = 0; j < span; ++j) {
+    remaining -= per_cycle;
+  }
+}
+
 }  // namespace
 
 PhotonicCycleNet::PhotonicCycleNet(const PhotonicCycleNetConfig& config,
@@ -40,7 +108,8 @@ PhotonicCycleNet::PhotonicCycleNet(const PhotonicCycleNetConfig& config,
       return_component_(*this, &PhotonicCycleNet::evaluate_returns,
                         &PhotonicCycleNet::commit_returns),
       epoch_component_(*this, nullptr, &PhotonicCycleNet::commit_epoch),
-      chiplets_(config_.chiplet_count) {
+      chiplets_(config_.chiplet_count),
+      staged_in_use_(config_.chiplet_count, 0) {
   const double clock = config_.interposer.gateway_clock_hz;
   bits_per_cycle_per_channel_ =
       photonics::line_rate_bps(config_.interposer.modulation,
@@ -82,6 +151,11 @@ std::size_t PhotonicCycleNet::reader_capacity(std::size_t chiplet) const {
 bool PhotonicCycleNet::stalled(std::size_t chiplet) const {
   OPTIPLET_REQUIRE(chiplet < chiplets_.size(), "chiplet index out of range");
   return chiplets_[chiplet].stall_until_cycle > now_;
+}
+
+bool PhotonicCycleNet::paused(const ReadTransfer& t) const {
+  return std::any_of(t.targets.begin(), t.targets.end(),
+                     [this](std::size_t c) { return stalled(c); });
 }
 
 std::uint64_t PhotonicCycleNet::inject_read(std::size_t chiplet,
@@ -155,17 +229,10 @@ void PhotonicCycleNet::evaluate_broadcast() {
   //    are dark while the PCM write is in flight.
   for (std::size_t i = 0; i < reads_.size(); ++i) {
     ReadTransfer& t = reads_[i];
-    if (!t.granted) {
+    if (!t.granted || paused(t)) {
       continue;
     }
-    const bool paused = std::any_of(
-        t.targets.begin(), t.targets.end(),
-        [this](std::size_t c) { return stalled(c); });
-    if (paused) {
-      continue;
-    }
-    t.remaining_bits -= static_cast<double>(t.channels) *
-                        bits_per_cycle_per_channel_;
+    t.remaining_bits -= per_cycle_bits(t.channels);
     if (t.remaining_bits <= kRemainderTolerance) {
       retired_read_slots_.push_back(i);
     }
@@ -179,7 +246,7 @@ void PhotonicCycleNet::evaluate_broadcast() {
   //    by this cycle's retirements become grantable next cycle (filter-row
   //    re-tuning turnaround).
   std::size_t medium_free = free_channels_;
-  std::vector<std::size_t> staged_in_use(chiplets_.size(), 0);
+  std::fill(staged_in_use_.begin(), staged_in_use_.end(), 0);
   for (std::size_t i = 0; i < reads_.size() && medium_free > 0; ++i) {
     const ReadTransfer& t = reads_[i];
     if (t.granted || now_ < t.eligible_cycle) {
@@ -193,7 +260,7 @@ void PhotonicCycleNet::evaluate_broadcast() {
         break;
       }
       const std::size_t used =
-          chiplets_[c].read_channels_in_use + staged_in_use[c];
+          chiplets_[c].read_channels_in_use + staged_in_use_[c];
       const std::size_t capacity = reader_capacity(c);
       if (used >= capacity) {
         blocked = true;
@@ -205,7 +272,7 @@ void PhotonicCycleNet::evaluate_broadcast() {
       continue;
     }
     for (const std::size_t c : t.targets) {
-      staged_in_use[c] += cap;
+      staged_in_use_[c] += cap;
     }
     medium_free -= cap;
     granted_read_slots_.push_back(i);
@@ -253,8 +320,7 @@ void PhotonicCycleNet::evaluate_returns() {
     }
     // The dedicated return waveguide serializes at the chiplet's currently
     // active modulator bandwidth; activation changes apply per cycle.
-    head.remaining_bits -= static_cast<double>(reader_capacity(c)) *
-                           bits_per_cycle_per_channel_;
+    head.remaining_bits -= per_cycle_bits(reader_capacity(c));
     if (head.remaining_bits <= kRemainderTolerance) {
       retired_write_chiplets_.push_back(c);
     }
@@ -347,10 +413,20 @@ bool PhotonicCycleNet::drained() const {
 }
 
 bool PhotonicCycleNet::run_until_drained(std::uint64_t max_cycles) {
-  std::uint64_t n = 0;
-  while (n < max_cycles && !drained()) {
+  const std::uint64_t end =
+      now_ + std::min(max_cycles, ~std::uint64_t{0} - now_);
+  while (now_ < end && !drained()) {
     step();
-    ++n;
+    // Channels freed by a retirement are grantable next cycle, and a grant
+    // or a boundary changes what the next cycle may grant: step again.
+    // After a quiet step only an event can change a decision.
+    const bool decided = !granted_read_slots_.empty() ||
+                         !retired_read_slots_.empty() ||
+                         !retired_write_chiplets_.empty() ||
+                         (config_.resipi_enabled && now_ % epoch_cycles_ == 0);
+    if (!decided) {
+      fast_forward(end);
+    }
   }
   return drained();
 }
@@ -359,29 +435,96 @@ void PhotonicCycleNet::advance_idle(std::uint64_t cycles) {
   OPTIPLET_REQUIRE(drained(), "advance_idle requires a drained network");
   const std::uint64_t end = now_ + cycles;
   while (now_ < end) {
-    std::uint64_t next = end;
-    if (config_.resipi_enabled) {
-      const std::uint64_t boundary =
-          (now_ / epoch_cycles_ + 1) * epoch_cycles_;
-      next = std::min(next, boundary);
+    fast_forward(end);
+  }
+}
+
+void PhotonicCycleNet::fast_forward(std::uint64_t end) {
+  // The jump ends at the first cycle that must be stepped in full, or at
+  // the next epoch boundary b: it then covers cycles up to b - 1 at the
+  // pre-boundary activation and runs the boundary, as commit_epoch does
+  // in cycle b - 1.
+  std::uint64_t target = end;
+  if (config_.resipi_enabled) {
+    target = std::min(target, (now_ / epoch_cycles_ + 1) * epoch_cycles_);
+  }
+  // A stall end relights a chiplet. Stalls only begin at boundaries, so
+  // whoever is stalled now stays stalled for the whole jump.
+  bool any_stalled = false;
+  for (const ChipletState& state : chiplets_) {
+    if (state.stall_until_cycle > now_) {
+      any_stalled = true;
+      target = std::min(target, state.stall_until_cycle);
     }
-    std::uint64_t active = 0;
-    std::uint64_t stall_until_max = 0;
+  }
+  // A waiting read may be granted once it is eligible and its readers are
+  // lit, including a reader whose stall ended this very cycle.
+  for (const ReadTransfer& t : reads_) {
+    if (t.granted) {
+      continue;
+    }
+    if (t.eligible_cycle >= now_) {
+      target = std::min(target, t.eligible_cycle);
+    }
+    for (const std::size_t c : t.targets) {
+      if (chiplets_[c].stall_until_cycle >= now_) {
+        target = std::min(target, chiplets_[c].stall_until_cycle);
+      }
+    }
+  }
+  // A write head starts serializing the cycle after its eligibility.
+  for (const ChipletState& state : chiplets_) {
+    if (!state.write_queue.empty() &&
+        now_ <= state.write_queue.front().eligible_cycle) {
+      target = std::min(target, state.write_queue.front().eligible_cycle + 1);
+    }
+  }
+  if (target <= now_) {
+    return;
+  }
+
+  // The transfers that serialize in every cycle of the jump: granted reads
+  // with no stalled reader and unstalled write heads past eligibility.
+  const auto for_each_progressing = [this](auto&& visit) {
+    for (ReadTransfer& t : reads_) {
+      if (t.granted && !paused(t)) {
+        visit(t.remaining_bits, per_cycle_bits(t.channels));
+      }
+    }
     for (std::size_t c = 0; c < chiplets_.size(); ++c) {
-      active += active_gateways(c);
-      stall_until_max =
-          std::max(stall_until_max, chiplets_[c].stall_until_cycle);
+      ChipletState& state = chiplets_[c];
+      if (!state.write_queue.empty() &&
+          now_ > state.write_queue.front().eligible_cycle && !stalled(c)) {
+        visit(state.write_queue.front().remaining_bits,
+              per_cycle_bits(reader_capacity(c)));
+      }
     }
-    gateway_cycle_weight_ += active * (next - now_);
-    // Chunks run boundary to boundary, so every live stall window started
-    // at or before now_: the stalled span inside this chunk is contiguous.
-    if (stall_until_max > now_) {
-      stats_.stall_cycles += std::min(next, stall_until_max) - now_;
-    }
-    now_ = next;
-    if (config_.resipi_enabled && now_ % epoch_cycles_ == 0) {
-      run_epoch_boundary(now_);
-    }
+  };
+  // Their retirement cycles are stepped in full.
+  for_each_progressing([&](double remaining, double per_cycle) {
+    target = std::min(target, now_ + cycles_to_retire(remaining, per_cycle,
+                                                      target - now_) -
+                                  1);
+  });
+  if (target <= now_) {
+    return;
+  }
+
+  const std::uint64_t span = target - now_;
+  for_each_progressing([span](double& remaining, double per_cycle) {
+    count_down(remaining, per_cycle, span);
+  });
+  std::uint64_t active = 0;
+  for (std::size_t c = 0; c < chiplets_.size(); ++c) {
+    active += active_gateways(c);
+  }
+  gateway_cycle_weight_ += active * span;
+  if (any_stalled) {
+    stats_.stall_cycles += span;
+  }
+  now_ = target;
+  if (config_.resipi_enabled && now_ % epoch_cycles_ == 0) {
+    run_epoch_boundary(now_);
   }
 }
 

@@ -25,7 +25,9 @@
 ///
 /// Determinism: no randomness, fixed iteration orders, and the two-phase
 /// evaluate/commit contract — results are bit-identical for any component
-/// registration order and across SweepRunner thread counts.
+/// registration order and across SweepRunner thread counts. The bulk
+/// drivers (run_until_drained, advance_idle) skip the cycles between
+/// decisions in one jump and stay bit-identical to per-cycle step().
 
 #include <cstdint>
 #include <vector>
@@ -96,20 +98,25 @@ class PhotonicCycleNet {
 
   // ---- simulation ----
 
-  /// Advance one gateway clock cycle (both engine phases).
+  /// Advance one gateway clock cycle (both engine phases). Always exactly
+  /// one cycle: the reference the bulk drivers below are tested against.
   void step();
 
   /// True when no transfer is queued or in flight.
   [[nodiscard]] bool drained() const;
 
   /// Run until drained or `max_cycles` elapse; returns true when drained.
+  /// Takes a full step() at every cycle that can decide something (a
+  /// grant, a retirement, an eligibility, a stall end, an epoch boundary)
+  /// and jumps over the cycles in between in one call, with bit-identical
+  /// results to stepping every cycle.
   bool run_until_drained(std::uint64_t max_cycles);
 
   /// Fast-forward `cycles` of traffic-free time (compute phases between
   /// layers): epoch boundaries still fire — with whatever demand the
   /// partial epoch accumulated, then zero — so ReSiPI downshifts exactly as
-  /// it would under per-cycle stepping, without stepping per cycle.
-  /// Requires drained().
+  /// it would under per-cycle stepping, without stepping per cycle (the
+  /// same jump run_until_drained() takes). Requires drained().
   void advance_idle(std::uint64_t cycles);
 
   /// advance_idle() in seconds of the gateway clock domain.
@@ -202,6 +209,16 @@ class PhotonicCycleNet {
   void commit_epoch();
 
   void run_epoch_boundary(std::uint64_t boundary_cycle);
+  /// Jump from now_ toward `end` over cycles in which no decision can
+  /// change, adding in one step what each skipped cycle would have added;
+  /// runs the epoch boundary the jump reaches. May jump zero cycles.
+  void fast_forward(std::uint64_t end);
+  /// Bits one cycle serializes over `channels` wavelengths.
+  [[nodiscard]] double per_cycle_bits(std::size_t channels) const {
+    return static_cast<double>(channels) * bits_per_cycle_per_channel_;
+  }
+  /// True while any of `t`'s readers is stalled (its filter rows are dark).
+  [[nodiscard]] bool paused(const ReadTransfer& t) const;
   [[nodiscard]] std::size_t reader_capacity(std::size_t chiplet) const;
   [[nodiscard]] std::size_t active_gateways(std::size_t chiplet) const;
   void retire(std::uint64_t id, bool is_write, std::uint64_t inject_cycle,
@@ -256,6 +273,8 @@ class PhotonicCycleNet {
   std::vector<std::size_t> granted_read_slots_;
   std::vector<std::size_t> granted_read_channels_;
   std::vector<std::size_t> retired_write_chiplets_;
+  /// Per-chiplet filter channels granted so far in this cycle's evaluate.
+  std::vector<std::size_t> staged_in_use_;
 
   std::vector<CompletedTransfer> completed_;
   PhotonicCycleNetStats stats_;
