@@ -276,7 +276,13 @@ std::vector<ScriptOp> make_script(std::uint64_t seed, std::size_t chiplets,
         }
       }
     }
-    op.bits = pick(4) == 0 ? 1 + pick(120) : 400 + pick(large);
+    // One size class in four is a multiple of 1,152 bits, which every
+    // integral per-cycle rate of the cases below divides, so transfers
+    // also retire on the last bit of a cycle.
+    const std::uint64_t size_class = pick(4);
+    op.bits = size_class == 0   ? 1 + pick(120)
+              : size_class == 1 ? 1'152 * (1 + pick(large / 1'152))
+                                : 400 + pick(large);
   }
   return ops;
 }
@@ -369,8 +375,9 @@ NetSnapshot run_driven(const PhotonicCycleNetConfig& cfg,
     snap.checkpoints.push_back(checkpoint(net));
     inject(net, op);
   }
-  net.run_until_drained(kDrainGuard);
-  net.advance_idle(idle_tail);
+  if (net.run_until_drained(kDrainGuard)) {
+    net.advance_idle(idle_tail);
+  }
   finish(net, snap);
   return snap;
 }
