@@ -8,7 +8,9 @@
 ///     (fast, contention-free).
 ///   * kCycleAccurate — every SiPh transfer drives noc::PhotonicCycleNet,
 ///     making reader-gateway contention and ReSiPI epoch transients
-///     visible (slow: the per-layer cycle loop dominates wall-clock).
+///     visible. The net steps only the cycles that can decide something
+///     and jumps over the rest, so a cycle run costs about 1-2x an
+///     analytical one (bench/sim_speed_sweep).
 ///   * kSampled — interval sampling in the Sniper/Virtuoso style: a
 ///     seeded, deterministic subset of layer windows runs cycle-accurate,
 ///     the rest fast-forward analytically with a calibrated cycle/
