@@ -83,9 +83,9 @@ void count_down(double& remaining, double per_cycle, std::uint64_t span) {
   }
   if (exact_integer(remaining) && exact_integer(per_cycle)) {
     // span * per_cycle < remaining < 2^53: exact in integers.
-    remaining = static_cast<double>(static_cast<std::uint64_t>(remaining) -
-                                    span * static_cast<std::uint64_t>(
-                                               per_cycle));
+    const auto r = static_cast<std::uint64_t>(remaining);
+    const auto s = static_cast<std::uint64_t>(per_cycle);
+    remaining = static_cast<double>(r - span * s);
     return;
   }
   for (std::uint64_t j = 0; j < span; ++j) {
@@ -448,17 +448,22 @@ void PhotonicCycleNet::fast_forward(std::uint64_t end) {
   if (config_.resipi_enabled) {
     target = std::min(target, (now_ / epoch_cycles_ + 1) * epoch_cycles_);
   }
-  // A stall end relights a chiplet. Stalls only begin at boundaries, so
-  // whoever is stalled now stays stalled for the whole jump.
+  // A stall end relights a chiplet; stalls only begin at boundaries, so
+  // whoever is stalled now stays stalled for the whole jump. A write head
+  // starts serializing the cycle after its eligibility.
   bool any_stalled = false;
   for (const ChipletState& state : chiplets_) {
     if (state.stall_until_cycle > now_) {
       any_stalled = true;
       target = std::min(target, state.stall_until_cycle);
     }
+    if (!state.write_queue.empty() &&
+        now_ <= state.write_queue.front().eligible_cycle) {
+      target = std::min(target, state.write_queue.front().eligible_cycle + 1);
+    }
   }
-  // A waiting read may be granted once it is eligible and its readers are
-  // lit, including a reader whose stall ended this very cycle.
+  // A waiting read may be granted once it is eligible, or right now if a
+  // reader's stall ended this very cycle.
   for (const ReadTransfer& t : reads_) {
     if (t.granted) {
       continue;
@@ -466,17 +471,11 @@ void PhotonicCycleNet::fast_forward(std::uint64_t end) {
     if (t.eligible_cycle >= now_) {
       target = std::min(target, t.eligible_cycle);
     }
-    for (const std::size_t c : t.targets) {
-      if (chiplets_[c].stall_until_cycle >= now_) {
-        target = std::min(target, chiplets_[c].stall_until_cycle);
-      }
-    }
-  }
-  // A write head starts serializing the cycle after its eligibility.
-  for (const ChipletState& state : chiplets_) {
-    if (!state.write_queue.empty() &&
-        now_ <= state.write_queue.front().eligible_cycle) {
-      target = std::min(target, state.write_queue.front().eligible_cycle + 1);
+    if (std::any_of(t.targets.begin(), t.targets.end(),
+                    [this](std::size_t c) {
+                      return chiplets_[c].stall_until_cycle == now_;
+                    })) {
+      return;
     }
   }
   if (target <= now_) {
@@ -502,9 +501,9 @@ void PhotonicCycleNet::fast_forward(std::uint64_t end) {
   };
   // Their retirement cycles are stepped in full.
   for_each_progressing([&](double remaining, double per_cycle) {
-    target = std::min(target, now_ + cycles_to_retire(remaining, per_cycle,
-                                                      target - now_) -
-                                  1);
+    const std::uint64_t k =
+        cycles_to_retire(remaining, per_cycle, target - now_);
+    target = std::min(target, now_ + k - 1);
   });
   if (target <= now_) {
     return;
