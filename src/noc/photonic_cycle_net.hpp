@@ -25,8 +25,8 @@
 ///
 /// Determinism: no randomness, fixed iteration orders, and the two-phase
 /// evaluate/commit contract — results are bit-identical for any component
-/// registration order and across SweepRunner thread counts. The bulk
-/// drivers (run_until_drained, advance_idle) skip the cycles between
+/// registration order and across SweepRunner thread counts.
+/// run_until_drained() and advance_idle() skip the cycles between
 /// decisions in one jump and stay bit-identical to per-cycle step().
 
 #include <cstdint>
@@ -99,7 +99,8 @@ class PhotonicCycleNet {
   // ---- simulation ----
 
   /// Advance one gateway clock cycle (both engine phases). Always exactly
-  /// one cycle: the reference the bulk drivers below are tested against.
+  /// one cycle: the reference run_until_drained() and advance_idle() are
+  /// tested against.
   void step();
 
   /// True when no transfer is queued or in flight.

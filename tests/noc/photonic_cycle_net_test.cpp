@@ -358,9 +358,9 @@ NetSnapshot run_stepped(const PhotonicCycleNetConfig& cfg,
   return snap;
 }
 
-/// The same script through the bulk drivers: run_until_drained up to the
-/// next injection (often expiring mid-transfer), advance_idle over what
-/// is left of the gap once drained.
+/// The same script through the skip-ahead calls: run_until_drained up to
+/// the next injection (often expiring mid-transfer), advance_idle over
+/// what is left of the gap once drained.
 NetSnapshot run_driven(const PhotonicCycleNetConfig& cfg,
                        const power::PhotonicTech& tech,
                        const std::vector<ScriptOp>& ops,
@@ -462,7 +462,7 @@ struct DifferentialCase {
   std::uint64_t scripts = 4;
 };
 
-TEST(PhotonicCycleNet, BulkDriversMatchPerCycleStepping) {
+TEST(PhotonicCycleNet, SkipAheadMatchesPerCycleStepping) {
   // Short epochs and PCM writes keep every script to a few thousand cycles
   // while boundaries, upshifts, downshifts and stalls still land in the
   // middle of transfers. The rates cover integral (6, 12), dyadic (3.5)
