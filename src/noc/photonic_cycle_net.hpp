@@ -259,9 +259,9 @@ class PhotonicCycleNet {
   std::uint64_t epoch_cycles_ = 0;
   std::uint64_t pcm_write_cycles_ = 0;
 
-  /// The authoritative clock: engine cycles plus idle fast-forward. All
-  /// transfer timing uses this so advance_idle() keeps epochs and
-  /// latencies aligned (engine_.cycle() lags it after a fast-forward).
+  /// The authoritative clock: engine cycles plus fast-forward jumps. All
+  /// transfer timing uses this so the jumps keep epochs and latencies
+  /// aligned (engine_.cycle() lags it after a jump).
   std::uint64_t now_ = 0;
   std::uint64_t next_id_ = 1;
   std::size_t free_channels_ = 0;
