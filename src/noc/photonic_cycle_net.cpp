@@ -39,7 +39,9 @@ constexpr double kRemainderTolerance = 1e-6;
 // whose exact difference is representable returns that difference. So k
 // cycles leave exactly `remaining - k * per_cycle`, an integer, which is
 // <= kRemainderTolerance exactly when it is <= 0: the transfer retires in
-// cycle k = ceil(remaining / per_cycle) >= 1. Integral rates cover every
+// cycle k = ceil(remaining / per_cycle) >= 1, after k - 1 =
+// floor((remaining - 1) / per_cycle) cycles that leave it live. Integral
+// rates cover every
 // in-repo configuration (12 Gb/s OOK or 24 Gb/s PAM-4 at a 2 GHz gateway
 // clock: 6 or 12 bits per channel per cycle), and payloads start integral.
 //
@@ -54,29 +56,31 @@ bool exact_integer(double x) {
   return x >= 0.0 && x < kExactIntegerLimit && x == std::floor(x);
 }
 
-/// The cycle (1-based from now) in which a live transfer retires, or
-/// `horizon + 1` when that is later than `horizon` cycles away. A zero
-/// rate never retires.
-std::uint64_t cycles_to_retire(double remaining, double per_cycle,
-                               std::uint64_t horizon) {
+/// How many cycles, at most `horizon`, a live transfer serializes before
+/// the cycle in which it retires. A zero rate never retires.
+std::uint64_t live_cycles(double remaining, double per_cycle,
+                          std::uint64_t horizon) {
   if (per_cycle <= 0.0) {
-    return horizon + 1;
+    return horizon;
   }
   if (exact_integer(remaining) && exact_integer(per_cycle)) {
     const auto r = static_cast<std::uint64_t>(remaining);
     const auto s = static_cast<std::uint64_t>(per_cycle);
-    return std::min(horizon + 1, (r + s - 1) / s);
+    return std::min(horizon, (r - 1) / s);
   }
-  std::uint64_t k = 0;
-  do {
+  std::uint64_t j = 0;
+  while (j < horizon) {
     remaining -= per_cycle;
-    ++k;
-  } while (remaining > kRemainderTolerance && k <= horizon);
-  return k;
+    if (remaining <= kRemainderTolerance) {
+      break;
+    }
+    ++j;
+  }
+  return j;
 }
 
-/// Apply `span` cycles of serialization to a transfer that does not
-/// retire within them (span < cycles_to_retire(...)).
+/// Apply `span` cycles of serialization to a transfer that stays live
+/// through them (span <= live_cycles(...)).
 void count_down(double& remaining, double per_cycle, std::uint64_t span) {
   if (per_cycle <= 0.0) {
     return;
@@ -501,9 +505,7 @@ void PhotonicCycleNet::fast_forward(std::uint64_t end) {
   };
   // Their retirement cycles are stepped in full.
   for_each_progressing([&](double remaining, double per_cycle) {
-    const std::uint64_t k =
-        cycles_to_retire(remaining, per_cycle, target - now_);
-    target = std::min(target, now_ + k - 1);
+    target = now_ + live_cycles(remaining, per_cycle, target - now_);
   });
   if (target <= now_) {
     return;
