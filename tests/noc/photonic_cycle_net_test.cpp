@@ -233,7 +233,7 @@ TEST(PhotonicCycleNet, GatewayWeightTracksActivation) {
 
 // ---- differential: per-cycle step() vs run_until_drained/advance_idle ----
 
-/// One injection of a seeded script, issued when the net reaches `cycle`.
+/// One injection of a seeded script, made when the net reaches `cycle`.
 struct ScriptOp {
   enum class Kind { kRead, kBroadcast, kWrite };
   std::uint64_t cycle = 0;
