@@ -35,9 +35,20 @@ double EnergyLedger::energy_per_bit_j(double duration_s,
 }
 
 void EnergyLedger::merge(const EnergyLedger& other) {
+  // Both maps are sorted by name: walk them in step, so each category
+  // costs a hinted insert at most instead of two tree lookups. The sums
+  // are the same additions in the same order.
+  auto it = entries_.begin();
   for (const auto& [name, entry] : other.entries_) {
-    entries_[name].dynamic_energy_j += entry.dynamic_energy_j;
-    entries_[name].static_power_w += entry.static_power_w;
+    while (it != entries_.end() && it->first < name) {
+      ++it;
+    }
+    if (it == entries_.end() || it->first != name) {
+      it = entries_.emplace_hint(it, name, EnergyEntry{});
+    }
+    it->second.dynamic_energy_j += entry.dynamic_energy_j;
+    it->second.static_power_w += entry.static_power_w;
+    ++it;
   }
 }
 

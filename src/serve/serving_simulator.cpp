@@ -26,6 +26,68 @@ namespace {
 
 constexpr std::size_t kNoTenant = static_cast<std::size_t>(-1);
 
+/// Index of an entry in a SlotPool.
+using Slot = std::uint32_t;
+constexpr Slot kNoSlot = static_cast<Slot>(-1);
+
+/// What a serving event does when it pops (Engine::dispatch). Each kind
+/// indexes the state it acts on instead of capturing it.
+enum class EventKind : std::uint16_t {
+  kArrival,       ///< open-loop arrival TenantState::next_arrival
+  kThinkEnd,      ///< a closed-loop user's think time ended
+  kRetry,         ///< backoff re-offer of Engine::retries[slot]
+  kDeadline,      ///< kDeadline dispatch timer
+  kBatchEnd,      ///< whole batch Engine::batches[slot] left the executor
+  kIterationEnd,  ///< continuous iteration over TenantState::fresh ended
+  kStageEnd,      ///< current stage of pipelined Engine::batches[slot] ended
+  kMetricsTick,   ///< periodic metric snapshot (Engine::tick_period_s)
+  kFault,         ///< config.elastic.faults[slot] fires
+};
+
+/// One scheduled serving event; `slot` is unused by tenant-level kinds.
+/// Eight bytes without padding, so it is built and passed in a register.
+struct Event {
+  EventKind kind = EventKind::kArrival;
+  std::uint16_t tenant = 0;  ///< simulate() caps the tenant count to fit
+  Slot slot = 0;
+};
+static_assert(sizeof(Event) == 8);
+
+[[nodiscard]] Event make_event(EventKind kind, std::size_t tenant,
+                               Slot slot = 0) {
+  return Event{kind, static_cast<std::uint16_t>(tenant), slot};
+}
+
+/// Index-addressed pool with a free list. A slot stays valid until it is
+/// released, but a reference into the pool does not survive an acquire()
+/// (the backing vector may grow): re-index after any call that can
+/// allocate a slot.
+template <class T>
+class SlotPool {
+ public:
+  [[nodiscard]] Slot acquire() {
+    if (!free_.empty()) {
+      const Slot slot = free_.back();
+      free_.pop_back();
+      return slot;
+    }
+    OPTIPLET_ASSERT(items_.size() < kNoSlot, "slot pool index space exhausted");
+    items_.emplace_back();
+    return static_cast<Slot>(items_.size() - 1);
+  }
+
+  void release(Slot slot) { free_.push_back(slot); }
+
+  T& operator[](Slot slot) { return items_[slot]; }
+
+  /// Every slot ever handed out is back on the free list.
+  [[nodiscard]] bool drained() const { return free_.size() == items_.size(); }
+
+ private:
+  std::vector<T> items_;
+  std::vector<Slot> free_;
+};
+
 /// One pipeline stage resolved against the engine's resource table:
 /// a maximal run of consecutive layers whose chiplet group maps to one
 /// exclusive resource (an owned group, or the shared-serial pool).
@@ -39,23 +101,34 @@ struct ExecStage {
   std::size_t layer_count = 0;
 };
 
-/// One batch advancing through its stage chain in layer-granular mode.
+/// One dispatched batch waiting for an event: a batch advancing through
+/// its stage chain in layer-granular mode, or (null `stages`) a whole
+/// batch waiting for its end.
 struct InFlightBatch {
   std::size_t tenant = 0;
-  std::uint64_t id = 0;  ///< per-tenant dispatch sequence
+  std::uint64_t id = 0;  ///< per-tenant dispatch sequence (stage chains)
   std::vector<Request> requests;
   const std::vector<ExecStage>* stages = nullptr;  ///< engine-cached
   std::size_t stage = 0;
   /// Start of stage 0 after ReSiPI adjustment: the anchor every
   /// unstalled stage's end time telescopes from.
   double batch_start_s = 0.0;
+
+  [[nodiscard]] const ExecStage& current() const { return (*stages)[stage]; }
 };
 
-/// One unit of work queued on a busy resource: a pipeline stage, or (null
-/// `stage`) tenant-level work — a whole batch or a continuous iteration.
+/// A shed request waiting out its retry backoff.
+struct PendingRetry {
+  Request request;
+  unsigned attempt = 0;
+};
+
+/// One unit of work queued on a busy resource: a pipeline stage (its
+/// Engine::batches slot), or (kNoSlot) tenant-level work — a whole batch or
+/// a continuous iteration.
 struct Waiter {
   std::size_t tenant = 0;
-  std::shared_ptr<InFlightBatch> stage;
+  Slot stage = kNoSlot;
   double since_s = 0.0;  ///< when it queued
 };
 
@@ -166,7 +239,10 @@ struct TenantState {
   /// admission estimate's amortization factor).
   unsigned cont_slots = 1;
   std::vector<ActiveSeq> active;  ///< the running decode set
-  bool iter_running = false;
+  /// Indices into `active` of the sequences the running iteration
+  /// prefills (empty for a decode iteration).
+  std::vector<std::size_t> fresh;
+  bool iter_running = false;  ///< at most one iteration per tenant
   /// Busy-period anchor + running accumulator: iteration k ends at
   /// exactly origin + (accum += dt_k), so an unstalled single-request
   /// period telescopes bit-for-bit to the static whole-request price.
@@ -200,12 +276,19 @@ struct Engine {
   /// Current-generation oracle/plan. Generation 0 lives in simulate()'s
   /// frame; elastic re-partitions push new generations onto gen_oracles /
   /// gen_plans and swap these pointers (all generations stay alive, so
-  /// in-flight callbacks and cached references never dangle).
+  /// in-flight work and cached references never dangle).
   ServiceTimeOracle* oracle;
   const ColocationPlan* plan;
-  sim::EventQueue events;
+  sim::EventQueue<Event> events;
   std::vector<TenantState> tenants;
   ServingReport report;
+
+  /// Dispatched batches waiting for a stage-end or batch-end event.
+  SlotPool<InFlightBatch> batches;
+  /// Shed requests waiting for their retry event.
+  SlotPool<PendingRetry> retries;
+  /// Metric snapshot cadence (kMetricsTick events; metering runs only).
+  double tick_period_s = 0.0;
 
   // ReSiPI serialization: one reconfiguration window at a time on the
   // shared interposer; a tenant never conflicts with itself (its own
@@ -356,7 +439,7 @@ struct Engine {
       trace.resipi_start_s = start;
       trace.resipi_end_s = start + resipi_window_s;
       if (stage_of != nullptr) {
-        const ExecStage& s = (*stage_of->stages)[stage_of->stage];
+        const ExecStage& s = stage_of->current();
         trace.first_layer = s.first_layer;
         trace.layer_count = s.layer_count;
         trace.batch_id = stage_of->id;
@@ -447,7 +530,7 @@ struct Engine {
     }
     Resource& r = resources[0];
     if (r.busy) {
-      r.waiters.push_back({t, nullptr, events.now()});
+      r.waiters.emplace_back(t, kNoSlot, events.now());
       ts.waiting_shared = true;
       return false;
     }
@@ -601,7 +684,7 @@ struct Engine {
   /// and emit one row per live series, re-arming while any tenant is
   /// active. Read-only observer — it never touches engine state, so an
   /// attached recorder cannot change simulation results.
-  void metrics_tick(double period_s) {
+  void metrics_tick() {
     bool active = false;
     std::size_t depth = 0;
     std::size_t inflight = 0;
@@ -617,8 +700,8 @@ struct Engine {
     m.set("serve.inflight_batches", static_cast<double>(inflight));
     m.snapshot(events.now());
     if (active) {
-      events.schedule_in(period_s,
-                         [this, period_s] { metrics_tick(period_s); });
+      events.schedule_in(tick_period_s,
+                         make_event(EventKind::kMetricsTick, 0));
     }
   }
 
@@ -971,10 +1054,9 @@ struct Engine {
         if (rec != nullptr && rec->metering()) {
           rec->metrics().add("serve.retries");
         }
-        events.schedule_in(
-            backoff, [this, t, r = std::move(request), attempt]() mutable {
-              offer(t, std::move(r), attempt + 1);
-            });
+        const Slot slot = retries.acquire();
+        retries[slot] = PendingRetry{request, attempt};
+        events.schedule_in(backoff, make_event(EventKind::kRetry, t, slot));
         return;
       }
       if (config.elastic.retrying()) {
@@ -1083,31 +1165,39 @@ struct Engine {
     }
     ts.issued += 1;
     const double think_s = ts.think_rng.next_exponential(ts.think_mean_s);
-    events.schedule_in(think_s, [this, t] {
-      TenantState& state = tenants[t];
-      state.arrived += 1;
-      // The last budgeted issue has arrived: flush partial batches.
-      if (state.issued >= state.issue_budget &&
-          state.arrived == state.issued) {
-        state.arrivals_done = true;
-      }
-      arrive(t);
-    });
+    events.schedule_in(think_s, make_event(EventKind::kThinkEnd, t));
   }
 
-  void schedule_arrival(std::size_t t) {
+  /// kThinkEnd: the user's request arrives.
+  void end_think(std::size_t t) {
     TenantState& ts = tenants[t];
-    const std::size_t i = ts.next_arrival;
-    events.schedule_at(ts.arrivals[i], [this, t, i] {
-      TenantState& state = tenants[t];
-      state.next_arrival = i + 1;
-      if (state.next_arrival < state.arrivals.size()) {
-        schedule_arrival(t);
-      } else {
-        state.arrivals_done = true;
-      }
-      arrive(t);
-    });
+    ts.arrived += 1;
+    // The last budgeted issue has arrived: flush partial batches.
+    if (ts.issued >= ts.issue_budget && ts.arrived == ts.issued) {
+      ts.arrivals_done = true;
+    }
+    arrive(t);
+  }
+
+  /// Schedule the open-loop arrival at index next_arrival; one is pending
+  /// per tenant at a time.
+  void schedule_arrival(std::size_t t) {
+    const TenantState& ts = tenants[t];
+    events.schedule_at(ts.arrivals[ts.next_arrival],
+                       make_event(EventKind::kArrival, t));
+  }
+
+  /// kArrival: chain the next arrival (or close the stream), then serve
+  /// this one.
+  void open_arrival(std::size_t t) {
+    TenantState& ts = tenants[t];
+    ts.next_arrival += 1;
+    if (ts.next_arrival < ts.arrivals.size()) {
+      schedule_arrival(t);
+    } else {
+      ts.arrivals_done = true;
+    }
+    arrive(t);
   }
 
   /// Dispatch ready batches while the tenant has pipeline depth to spare:
@@ -1131,12 +1221,16 @@ struct Engine {
       std::vector<Request> batch = ts.queue.take(ts.arrivals_done);
       ts.inflight += 1;
       if (staged) {
-        auto b = std::make_shared<InFlightBatch>();
-        b->tenant = t;
-        b->id = ts.batch_seq++;
-        b->stages = &exec_stages(t, static_cast<unsigned>(batch.size()));
-        b->requests = std::move(batch);
-        request_stage(std::move(b));
+        const std::vector<ExecStage>& stages =
+            exec_stages(t, static_cast<unsigned>(batch.size()));
+        const Slot slot = batches.acquire();
+        InFlightBatch& b = batches[slot];
+        b.tenant = t;
+        b.id = ts.batch_seq++;
+        b.requests = std::move(batch);
+        b.stages = &stages;
+        b.stage = 0;
+        request_stage(slot);
       } else if (acquire_shared(t)) {
         begin_execution(t, std::move(batch));
       } else {
@@ -1151,10 +1245,8 @@ struct Engine {
     const auto deadline = ts.queue.next_deadline();
     if (deadline && !ts.timer_armed) {
       ts.timer_armed = true;
-      events.schedule_at(std::max(*deadline, events.now()), [this, t] {
-        tenants[t].timer_armed = false;
-        try_dispatch(t);
-      });
+      events.schedule_at(std::max(*deadline, events.now()),
+                         make_event(EventKind::kDeadline, t));
     }
   }
 
@@ -1168,9 +1260,26 @@ struct Engine {
     report.ledger.merge(run.ledger);
     const double end =
         launch_batch(t, batch, run, run.latency_s, run.energy_j).second;
-    events.schedule_at(end, [this, t, b = std::move(batch)] {
-      complete(t, b);
-    });
+    schedule_batch_end(t, end, std::move(batch));
+  }
+
+  /// Park a whole batch in the slab until its kBatchEnd event at `end`.
+  void schedule_batch_end(std::size_t t, double end,
+                          std::vector<Request> batch) {
+    const Slot slot = batches.acquire();
+    InFlightBatch& b = batches[slot];
+    b.tenant = t;
+    b.requests = std::move(batch);
+    b.stages = nullptr;
+    events.schedule_at(end, make_event(EventKind::kBatchEnd, t, slot));
+  }
+
+  /// Move a finished batch's requests out of the slab and free its slot,
+  /// before complete() can dispatch into a new one.
+  std::vector<Request> release_batch(Slot slot) {
+    std::vector<Request> done = std::move(batches[slot].requests);
+    batches.release(slot);
+    return done;
   }
 
   /// Start one whole batch the caller has priced at `service_s` seconds
@@ -1246,9 +1355,7 @@ struct Engine {
     if (rec != nullptr) {
       record_phase_spans(t, start, prefill_end, end);
     }
-    events.schedule_at(end, [this, t, b = std::move(batch)] {
-      complete(t, b);
-    });
+    schedule_batch_end(t, end, std::move(batch));
   }
 
   /// Completion bookkeeping shared by every execution path: latency
@@ -1355,7 +1462,10 @@ struct Engine {
   /// matches the static kNone price bit-for-bit.
   void continuous_iterate(std::size_t t) {
     TenantState& ts = tenants[t];
-    std::vector<std::size_t> fresh;
+    OPTIPLET_ASSERT(!ts.iter_running,
+                    "continuous tenant started a second iteration");
+    std::vector<std::size_t>& fresh = ts.fresh;
+    fresh.clear();
     for (std::size_t i = 0; i < ts.active.size(); ++i) {
       if (ts.active[i].kv_tokens == 0) {
         fresh.push_back(i);
@@ -1416,21 +1526,18 @@ struct Engine {
     }
     record_batch(t, size, start, end, resipi_window_s, ts.occupancy);
     ts.iter_running = true;
-    events.schedule_at(end, [this, t, f = std::move(fresh)] {
-      end_cont_iteration(t, f);
-    });
+    events.schedule_at(end, make_event(EventKind::kIterationEnd, t));
   }
 
   /// Token boundary: land the iteration's tokens, retire finished
   /// sequences, release/grant the shared pool, and schedule the next
-  /// iteration.
-  void end_cont_iteration(std::size_t t,
-                          const std::vector<std::size_t>& fresh) {
+  /// iteration (which refills `fresh`, so it is read first).
+  void end_cont_iteration(std::size_t t) {
     TenantState& ts = tenants[t];
     const double now = events.now();
     ts.iter_running = false;
-    if (!fresh.empty()) {
-      for (const std::size_t i : fresh) {
+    if (!ts.fresh.empty()) {
+      for (const std::size_t i : ts.fresh) {
         ActiveSeq& seq = ts.active[i];
         seq.kv_tokens = seq.request.shape.prefill_tokens;
         ts.ttfts.push_back(now - seq.request.arrival_s);
@@ -1530,31 +1637,34 @@ struct Engine {
     return std::max<std::size_t>(seen.size(), 1);
   }
 
-  void request_stage(std::shared_ptr<InFlightBatch> b) {
-    Resource& r = resources[(*b->stages)[b->stage].resource];
+  void request_stage(Slot slot) {
+    const InFlightBatch& b = batches[slot];
+    Resource& r = resources[b.current().resource];
     if (r.busy) {
-      r.waiters.push_back({b->tenant, std::move(b), events.now()});
+      r.waiters.emplace_back(b.tenant, slot, events.now());
       return;
     }
     r.busy = true;
-    start_stage(std::move(b));
+    start_stage(slot);
   }
 
   /// Run one granted stage: stage 0 wakes gated hardware and dispatches
   /// the batch; ReSiPI serializes the batch window (stage 0) and a retune
   /// on every cross-tenant shared handoff; busy time is charged and the
-  /// stage-end event scheduled.
-  void start_stage(std::shared_ptr<InFlightBatch> b) {
-    const std::size_t t = b->tenant;
+  /// stage-end event scheduled. Nothing here allocates a slot, so `b`
+  /// stays valid throughout.
+  void start_stage(Slot slot) {
+    InFlightBatch& b = batches[slot];
+    const std::size_t t = b.tenant;
     TenantState& ts = tenants[t];
-    const ExecStage& s = (*b->stages)[b->stage];
+    const ExecStage& s = b.current();
     Resource& r = resources[s.resource];
-    const auto batch_size = static_cast<unsigned>(b->requests.size());
+    const auto batch_size = static_cast<unsigned>(b.requests.size());
     const bool siph = config.arch == accel::Architecture::kSiph2p5D;
 
     double start = events.now();
     double resipi_window_s = 0.0;
-    if (b->stage == 0) {
+    if (b.stage == 0) {
       start = elastic_wake(t, start);
       const core::RunResult& run = oracle->batch_run(t, batch_size);
       // The batch's own reconfiguration window, as in batch-granular mode.
@@ -1587,17 +1697,17 @@ struct Engine {
     if (r.shared) {
       r.last_tenant = t;
     }
-    if (b->stage == 0) {
-      b->batch_start_s = start;
+    if (b.stage == 0) {
+      b.batch_start_s = start;
     }
     // An unstalled chain telescopes through the schedule's exact prefix
     // offsets, so a lone batch completes bit-for-bit at the
     // batch-granular time; a stalled or handed-off stage falls back to
     // duration arithmetic from its actual start.
-    const double expected = b->batch_start_s + s.start_offset_s;
+    const double expected = b.batch_start_s + s.start_offset_s;
     const double end =
         (handoff_s == 0.0 && start == expected)
-            ? b->batch_start_s + s.end_offset_s
+            ? b.batch_start_s + s.end_offset_s
             : start + (s.end_offset_s - s.start_offset_s) + handoff_s;
     if (r.shared) {
       // Feed the admission estimate's cross-tenant contention term.
@@ -1608,24 +1718,27 @@ struct Engine {
     // the stage's actual physical lock instead.
     charge_busy(t, start, end);
     if (rec != nullptr) {
-      record_stage_trace(*b, s, start, end);
+      record_stage_trace(b, s, start, end);
     }
     const char* retune_kind = handoff_s > 0.0 ? "handoff" : "batch_window";
-    record_batch(t, batch_size, start, end, resipi_window_s, r.chiplets,
-                 b.get(), retune_kind);
-    events.schedule_at(end, [this, b = std::move(b)]() mutable {
-      end_stage(std::move(b));
-    });
+    record_batch(t, batch_size, start, end, resipi_window_s, r.chiplets, &b,
+                 retune_kind);
+    events.schedule_at(end, make_event(EventKind::kStageEnd, t, slot));
   }
 
-  void end_stage(std::shared_ptr<InFlightBatch> b) {
-    const ExecStage& s = (*b->stages)[b->stage];
-    release_resource(s.resource);
-    b->stage += 1;
-    if (b->stage < b->stages->size()) {
-      request_stage(std::move(b));
+  /// kStageEnd: free the stage's group, then queue the next stage or
+  /// complete the batch.
+  void end_stage(Slot slot) {
+    // The release can grant a waiter that dispatches into a new slot and
+    // grows the slab, so index the batch afresh after it.
+    release_resource(batches[slot].current().resource);
+    InFlightBatch& b = batches[slot];
+    b.stage += 1;
+    if (b.stage < b.stages->size()) {
+      request_stage(slot);
     } else {
-      complete(b->tenant, b->requests);
+      const std::size_t t = b.tenant;
+      complete(t, release_batch(slot));
     }
   }
 
@@ -1640,7 +1753,7 @@ struct Engine {
       return;
     }
     const auto rank = [this](const Waiter& w) {
-      return std::pair(tenants[w.tenant].priority, w.stage == nullptr);
+      return std::pair(tenants[w.tenant].priority, w.stage == kNoSlot);
     };
     auto best = r.waiters.begin();
     for (auto it = std::next(best); it != r.waiters.end(); ++it) {
@@ -1648,15 +1761,54 @@ struct Engine {
         best = it;
       }
     }
-    Waiter next = std::move(*best);
+    const Waiter next = *best;
     r.waiters.erase(best);
     if (r.shared) {
       tenants[next.tenant].report.shared_wait_s += events.now() - next.since_s;
     }
-    if (next.stage != nullptr) {
-      start_stage(std::move(next.stage));
+    if (next.stage != kNoSlot) {
+      start_stage(next.stage);
     } else {
       grant_tenant(next.tenant);
+    }
+  }
+
+  /// Run one popped event: the loop's single dispatch point.
+  void dispatch(Event e) {
+    const std::size_t t = e.tenant;
+    switch (e.kind) {
+      case EventKind::kArrival:
+        open_arrival(t);
+        return;
+      case EventKind::kThinkEnd:
+        end_think(t);
+        return;
+      case EventKind::kRetry: {
+        // Copy out first: the re-offer may shed again into a new slot.
+        const PendingRetry retry = retries[e.slot];
+        retries.release(e.slot);
+        offer(t, retry.request, retry.attempt + 1);
+        return;
+      }
+      case EventKind::kDeadline:
+        tenants[t].timer_armed = false;
+        try_dispatch(t);
+        return;
+      case EventKind::kBatchEnd:
+        complete(t, release_batch(e.slot));
+        return;
+      case EventKind::kIterationEnd:
+        end_cont_iteration(t);
+        return;
+      case EventKind::kStageEnd:
+        end_stage(e.slot);
+        return;
+      case EventKind::kMetricsTick:
+        metrics_tick();
+        return;
+      case EventKind::kFault:
+        apply_fault(config.elastic.faults[e.slot]);
+        return;
     }
   }
 };
@@ -1750,6 +1902,9 @@ ColocatedSetup make_colocated_setup(const core::SystemConfig& system,
 
 ServingReport simulate(const ServingConfig& config) {
   OPTIPLET_REQUIRE(!config.tenants.empty(), "serving needs >= 1 tenant");
+  OPTIPLET_REQUIRE(
+      config.tenants.size() <= std::numeric_limits<std::uint16_t>::max(),
+      "serving supports at most 65535 tenants");
   const auto wall_t0 = std::chrono::steady_clock::now();
 
   const ElasticSpec& elastic = config.elastic;
@@ -2077,24 +2232,29 @@ ServingReport simulate(const ServingConfig& config) {
           span_s > 0.0 ? span_s / 64.0 : std::max(max_sla_s, 1e-6);
     }
     const double start_s = std::isfinite(first) ? first : 0.0;
-    engine.events.schedule_at(start_s + period_s, [&engine, period_s] {
-      engine.metrics_tick(period_s);
-    });
+    engine.tick_period_s = period_s;
+    engine.events.schedule_at(start_s + period_s,
+                              make_event(EventKind::kMetricsTick, 0));
   }
 
-  for (const FaultSpec& fault : config.elastic.faults) {
+  const std::vector<FaultSpec>& faults = config.elastic.faults;
+  for (std::size_t f = 0; f < faults.size(); ++f) {
+    const FaultSpec& fault = faults[f];
     if (!fault.armed()) {
       continue;  // t = inf (or a no-op spec) schedules nothing: inert.
     }
     OPTIPLET_REQUIRE(
         fault.chiplet < static_cast<int>(plan.chiplet_active_power_w.size()),
         "fault chiplet id out of the pool");
-    engine.events.schedule_at(fault.time_s, [&engine, fault] {
-      engine.apply_fault(fault);
-    });
+    engine.events.schedule_at(
+        fault.time_s,
+        make_event(EventKind::kFault, 0, static_cast<Slot>(f)));
   }
 
-  engine.events.run();
+  Event event;
+  while (engine.events.pop(event)) {
+    engine.dispatch(event);
+  }
   if (config.elastic.gate) {
     // Close every open idle gap at the measured-window end so tail idle
     // past the gate threshold is gated like any interior gap.
@@ -2106,6 +2266,8 @@ ServingReport simulate(const ServingConfig& config) {
     OPTIPLET_ASSERT(!resource.busy && resource.waiters.empty(),
                     "serving drained with a chiplet group still held");
   }
+  OPTIPLET_ASSERT(engine.batches.drained() && engine.retries.drained(),
+                  "serving drained with a batch or retry slot still taken");
   for (const TenantState& ts : engine.tenants) {
     OPTIPLET_ASSERT(ts.inflight == 0,
                     "serving drained with batches still in flight");

@@ -4,10 +4,16 @@
 ///
 /// The simulator closes the loop the ROADMAP asks for: instead of scoring
 /// one inference, it serves an open-loop request stream against the 2.5D
-/// SiPh platform. It runs on sim::EventQueue and uses core::SystemSimulator
-/// (through the memoized serve::ServiceTimeOracle) as its service-time
-/// oracle, so both fidelities — analytical and cycle-accurate — serve
-/// transparently.
+/// SiPh platform. It uses core::SystemSimulator (through the memoized
+/// serve::ServiceTimeOracle) as its service-time oracle, so both
+/// fidelities — analytical and cycle-accurate — serve transparently.
+///
+/// The loop runs on sim::EventQueue with typed events: each is an 8-byte
+/// {kind, tenant, slot} record that one `switch` dispatches, and the state
+/// it acts on lives in the engine (dispatched batches in an
+/// index-addressed slab, pending retries in a slot pool, the rest in
+/// per-tenant fields). docs/serving-model.md, "Event model", lists the
+/// kinds.
 ///
 /// Mechanics per tenant:
 ///   * arrivals — seeded Poisson, a replayed CSV trace, or a closed-loop

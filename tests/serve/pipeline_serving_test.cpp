@@ -8,13 +8,19 @@
 ///   * a lone batch in flight degenerates to the batch-granular result
 ///     bit-for-bit (the validated baseline stays authoritative);
 ///   * cross-tenant handoffs of the scarce shared group charge exactly
-///     one ReSiPI retune window each.
+///     one ReSiPI retune window each;
+///   * every pipelined batch runs its stage chain once, in layer order,
+///     also when a stage end grants the freed group to work that
+///     dispatches into a newly grown batch slab.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "dnn/zoo.hpp"
 #include "engine/result_store.hpp"
@@ -115,6 +121,71 @@ TEST(PipelineServing, NeverDoubleBooksAnyChipletGroup) {
       }
     }
   }
+}
+
+TEST(PipelineServing, EveryStageChainRunsOnceInLayerOrder) {
+  // TinyGPT's whole batches (tenant-level work) share the dense pool with
+  // two pipelined CNNs. At this seed and load one stage end grants the
+  // pool to a TinyGPT batch whose end event needs a new slot just as the
+  // slab is full, so the slab reallocates under the stage end that is
+  // still advancing its own batch (the engine re-indexes after the
+  // release; ASan/UBSan and _GLIBCXX_ASSERTIONS builds catch a stale
+  // reference there).
+  ServingSpec spec;
+  spec.tenant_mix = "TinyGPT+LeNet5+MobileNetV2";
+  spec.arrival_rps = 3000.0;
+  spec.requests = 150;
+  spec.seed = 7;
+  spec.pipeline = PipelineMode::kLayerGranular;
+  spec.priority_mix = "0+1+0";
+  spec.policy = BatchPolicy::kDeadline;
+  spec.max_batch = 4;
+  spec.max_wait_s = 1.0e-3;
+  spec.prefill_tokens = 32;
+  spec.decode_tokens = 4;
+  spec.token_spread = 0.5;
+  ServingConfig config = make_serving_config(
+      core::default_system_config(), accel::Architecture::kSiph2p5D, spec);
+  config.record_batches = true;
+  config.tenants[0].batching.policy = BatchPolicy::kNone;
+  for (std::size_t t = 1; t < config.tenants.size(); ++t) {
+    config.tenants[t].prefill_tokens = 0;
+    config.tenants[t].decode_tokens = 0;
+    config.tenants[t].token_spread = 0.0;
+  }
+  const ServingReport report = simulate(config);
+  EXPECT_EQ(report.metrics.completed, 150u);
+
+  std::map<std::pair<std::size_t, std::uint64_t>, std::vector<BatchTrace>>
+      chains;
+  for (const BatchTrace& b : report.batches) {
+    if (b.tenant != 0) {
+      chains[{b.tenant, b.batch_id}].push_back(b);
+    }
+  }
+  ASSERT_FALSE(chains.empty());
+  std::map<std::size_t, std::size_t> layers_of;  // per tenant
+  for (auto& [key, stages] : chains) {
+    std::sort(stages.begin(), stages.end(),
+              [](const BatchTrace& a, const BatchTrace& b) {
+                return a.start_s < b.start_s;
+              });
+    std::size_t next_layer = 0;
+    double prev_end = stages.front().start_s;
+    for (const BatchTrace& s : stages) {
+      EXPECT_EQ(s.first_layer, next_layer)
+          << "tenant " << key.first << " batch " << key.second;
+      EXPECT_GE(s.start_s, prev_end);
+      EXPECT_GT(s.layer_count, 0u);
+      next_layer = s.first_layer + s.layer_count;
+      prev_end = s.end_s;
+    }
+    const auto it = layers_of.emplace(key.first, next_layer).first;
+    EXPECT_EQ(next_layer, it->second)
+        << "tenant " << key.first << " batch " << key.second
+        << " skipped or repeated a stage";
+  }
+  EXPECT_EQ(layers_of.size(), 2u);
 }
 
 TEST(PipelineServing, RaisesUtilizationAtSaturatingLoadOnColocatedMix) {
