@@ -6,8 +6,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -18,6 +18,7 @@
 #include "engine/thread_pool.hpp"
 #include "obs/recorder.hpp"
 #include "serve/arrivals.hpp"
+#include "serve/elastic.hpp"
 #include "serve/service_time.hpp"
 #include "serve/serving_simulator.hpp"
 #include "util/require.hpp"
@@ -31,18 +32,6 @@ namespace {
 /// think-time streams are independent while replica 0 keeps the exact
 /// single-package stream (N=1 degeneracy).
 constexpr std::uint64_t kReplicaSeedStride = 7919;
-
-/// One arrival of the merged cluster-wide stream.
-struct ArrivalEvent {
-  double time_s = 0.0;
-  std::size_t tenant = 0;
-  std::uint64_t seq = 0;
-  /// Token geometry assigned at the front end (variable-length tenants
-  /// only): the shape must follow the request to whichever replica serves
-  /// it, and a 1-package rack must reproduce the lone simulator's draw
-  /// stream bit-for-bit.
-  serve::RequestShape shape;
-};
 
 /// Per-tenant solo batch-1 service times — the balancer's expected-work
 /// weights — computed through the exact partition + oracle path the
@@ -67,17 +56,143 @@ std::vector<double> service_weights(const ClusterConfig& config,
   return weights;
 }
 
+/// One tenant's link prices. Each is a pure function of the tenant's
+/// payload bits, so pricing once per tenant is exact.
+struct LinkPrice {
+  /// The request's forward hop, which delays its arrival at the replica.
+  double hop_s = 0.0;
+  /// Request plus response hop, charged per remote request.
+  double round_trip_s = 0.0;
+  double round_trip_j = 0.0;
+  /// Request plus response payload [bit].
+  double bits = 0.0;
+};
+
+/// Append arrival `seq` of `from`, at `time_s`, to `to`.
+void append(RoutedStream& to, double time_s, const TenantStream& from,
+            std::size_t seq) {
+  to.times.push_back(time_s);
+  if (!from.shapes.empty()) {
+    to.shapes.push_back(from.shapes[seq]);
+  }
+}
+
+/// One (package, tenant) lane of the front end: the arrivals served where
+/// they entered go straight to `routed`; those that crossed a link wait
+/// in `pending` until a local arrival at an equal or later time, or the
+/// end, writes them out. Both halves are sorted (the link delay is
+/// constant per tenant), and a pending arrival was dispatched before any
+/// later local one, so it goes first on equal times. `routed` thus ends
+/// sorted by arrival time with ties in dispatch order: the order a stable
+/// sort of the dispatch sequence gives.
+struct Lane {
+  RoutedStream routed;
+  RoutedStream pending;
+  /// First pending arrival not yet written out.
+  std::size_t head = 0;
+
+  /// Write out the pending arrivals due at or before `time_s`.
+  void release(double time_s) {
+    const bool shaped = !pending.shapes.empty();
+    for (; head < pending.times.size() && pending.times[head] <= time_s;
+         ++head) {
+      routed.times.push_back(pending.times[head]);
+      if (shaped) {
+        routed.shapes.push_back(pending.shapes[head]);
+      }
+    }
+    if (head > 0 && head == pending.times.size()) {
+      pending.times.clear();
+      pending.shapes.clear();
+      head = 0;
+    }
+  }
+};
+
 }  // namespace
+
+std::vector<std::vector<RoutedStream>> dispatch_open_loop(
+    std::vector<TenantStream> streams, std::size_t packages,
+    LoadBalancer& balancer,
+    const std::function<void(const LinkHop&)>& on_hop) {
+  OPTIPLET_REQUIRE(packages >= 1, "cluster needs at least one package");
+  const std::size_t n = streams.size();
+  std::uint64_t total = 0;
+  for (const TenantStream& stream : streams) {
+    OPTIPLET_REQUIRE(std::is_sorted(stream.times.begin(), stream.times.end()),
+                     "tenant arrival stream must be time-sorted");
+    OPTIPLET_REQUIRE(
+        stream.shapes.empty() || stream.shapes.size() == stream.times.size(),
+        "tenant request shapes must align with its arrivals");
+    total += stream.times.size();
+  }
+
+  std::vector<Lane> lanes(packages * n);
+  std::vector<std::size_t> next(n, 0);
+  std::size_t ingress = 0;
+  for (std::uint64_t k = 0; k < total; ++k) {
+    // The earliest head; equal times go to the lower tenant, and each
+    // stream is consumed in seq order: the (time, tenant, seq) order.
+    std::size_t tenant = n;
+    double time = 0.0;
+    for (std::size_t t = 0; t < n; ++t) {
+      if (next[t] < streams[t].times.size()) {
+        const double head = streams[t].times[next[t]];
+        if (tenant == n || head < time) {
+          tenant = t;
+          time = head;
+        }
+      }
+    }
+    const TenantStream& stream = streams[tenant];
+    const std::size_t seq = next[tenant]++;
+    const std::size_t package = balancer.route(tenant, ingress);
+    Lane& lane = lanes[package * n + tenant];
+    if (package != ingress) {
+      // The request rides the photonic link to its replica; the response
+      // rides back. Only the forward hop delays service.
+      const double at = time + stream.hop_s;
+      on_hop({tenant, ingress, package, time, at});
+      append(lane.pending, at, stream, seq);
+    } else {
+      lane.release(time);
+      append(lane.routed, time, stream, seq);
+    }
+    ingress = ingress + 1 == packages ? 0 : ingress + 1;
+  }
+
+  std::vector<std::vector<RoutedStream>> routed(packages);
+  for (std::size_t p = 0; p < packages; ++p) {
+    routed[p].reserve(n);
+    for (std::size_t t = 0; t < n; ++t) {
+      Lane& lane = lanes[p * n + t];
+      lane.release(std::numeric_limits<double>::infinity());
+      routed[p].push_back(std::move(lane.routed));
+    }
+  }
+  return routed;
+}
 
 ClusterReport simulate(const ClusterConfig& config) {
   const ClusterSpec& spec = config.cluster;
   const std::size_t packages = spec.packages;
   OPTIPLET_REQUIRE(packages >= 1, "cluster needs at least one package");
+  for (const serve::FaultSpec& fault : config.serving.elastic.faults) {
+    if (fault.package < -1 || fault.package >= static_cast<int>(packages)) {
+      throw std::invalid_argument(
+          serve::to_string(fault) + " names package " +
+          std::to_string(fault.package) + ", but the rack has " +
+          std::to_string(packages) +
+          " package(s): use 0 to " + std::to_string(packages - 1) +
+          ", or -1 for every package");
+    }
+  }
 
   // Resolve the cluster-wide tenant list exactly as a lone simulator
   // would (names, load split, seeds, trace partitioning) — the front end
-  // then shards these authoritative streams.
-  const serve::ServingConfig whole =
+  // then shards these authoritative streams. Not const: the open-loop
+  // front end moves replayed traces out of it.
+  serve::ServingConfig whole =
       serve::make_serving_config(config.system, config.arch, config.serving);
   const std::size_t n = whole.tenants.size();
 
@@ -94,13 +209,18 @@ ClusterReport simulate(const ClusterConfig& config) {
                                              config.system.tech.photonic);
   // Payload of one request/response crossing a link: the model's first
   // layer consumes the request tensor, the last layer emits the response.
-  std::vector<std::uint64_t> request_bits(n, 0);
-  std::vector<std::uint64_t> response_bits(n, 0);
+  std::vector<LinkPrice> prices(n);
   for (std::size_t t = 0; t < n; ++t) {
     const dnn::Workload workload = dnn::compute_workload(
         dnn::zoo::by_name(models[t]), config.system.parameter_bits);
-    request_bits[t] = workload.layers.front().input_bits;
-    response_bits[t] = workload.layers.back().output_bits;
+    const std::uint64_t request_bits = workload.layers.front().input_bits;
+    const std::uint64_t response_bits = workload.layers.back().output_bits;
+    prices[t].hop_s = link.transfer_latency_s(request_bits);
+    prices[t].round_trip_s = link.transfer_latency_s(request_bits) +
+                             link.transfer_latency_s(response_bits);
+    prices[t].round_trip_j = link.transfer_energy_j(request_bits) +
+                             link.transfer_energy_j(response_bits);
+    prices[t].bits = static_cast<double>(request_bits + response_bits);
   }
 
   LoadBalancer balancer(spec.balancer, placement,
@@ -126,32 +246,21 @@ ClusterReport simulate(const ClusterConfig& config) {
 
   // --- front-end dispatch (deterministic, pre-simulation) ---
   const auto charge_transfer = [&](std::size_t tenant, std::uint64_t count) {
+    const LinkPrice& price = prices[tenant];
     metrics.transfers += count;
     metrics.transfer_latency_s +=
-        static_cast<double>(count) *
-        (link.transfer_latency_s(request_bits[tenant]) +
-         link.transfer_latency_s(response_bits[tenant]));
+        static_cast<double>(count) * price.round_trip_s;
     metrics.transfer_energy_j +=
-        static_cast<double>(count) *
-        (link.transfer_energy_j(request_bits[tenant]) +
-         link.transfer_energy_j(response_bits[tenant]));
+        static_cast<double>(count) * price.round_trip_j;
     if (rec != nullptr && rec->metering()) {
       rec->metrics().add("cluster.transfers", static_cast<double>(count));
-      rec->metrics().add(
-          "cluster.transfer_bytes",
-          static_cast<double>(count) *
-              static_cast<double>(request_bits[tenant] +
-                                  response_bits[tenant]) /
-              8.0);
+      rec->metrics().add("cluster.transfer_bytes",
+                         static_cast<double>(count) * price.bits / 8.0);
     }
   };
 
-  // Open loop: per-(package, tenant) routed arrivals, each time paired
-  // with its request shape so sorting by service time keeps the two
-  // aligned.
-  using RoutedArrival = std::pair<double, serve::RequestShape>;
-  std::vector<std::vector<std::vector<RoutedArrival>>> arrivals(
-      packages, std::vector<std::vector<RoutedArrival>>(n));
+  // Open loop: per-(package, tenant) routed arrivals.
+  std::vector<std::vector<RoutedStream>> routed;
   // Closed loop: per-(package, tenant) user counts / issue budgets.
   std::vector<std::vector<unsigned>> users(packages,
                                            std::vector<unsigned>(n, 0));
@@ -161,72 +270,47 @@ ClusterReport simulate(const ClusterConfig& config) {
       packages, std::vector<std::uint64_t>(n, 0));
 
   if (!closed) {
-    std::vector<ArrivalEvent> events;
+    std::vector<TenantStream> streams(n);
     for (std::size_t t = 0; t < n; ++t) {
-      const auto& setup = whole.tenants[t];
-      const std::vector<double> stream =
-          setup.replay_trace
-              ? setup.trace_arrivals
-              : serve::poisson_arrivals(setup.arrival_rps, setup.requests,
-                                        setup.seed);
+      serve::TenantSetup& setup = whole.tenants[t];
+      TenantStream& stream = streams[t];
+      stream.hop_s = prices[t].hop_s;
       // The front end fixes each request's token geometry before routing:
       // replayed shapes verbatim, otherwise the same seeded draw stream
       // the lone simulator would produce (see serve::draw_request_shape).
-      const bool var = setup.prefill_tokens > 0;
-      util::Xoshiro256 shape_rng(setup.seed ^ 0x746f6b656eULL);
-      for (std::uint64_t k = 0; k < stream.size(); ++k) {
-        serve::RequestShape shape;
-        if (!setup.trace_shapes.empty()) {
-          shape = setup.trace_shapes[k];
-        } else if (var) {
-          shape = serve::draw_request_shape(setup.prefill_tokens,
-                                            setup.decode_tokens,
-                                            setup.token_spread, shape_rng);
-        }
-        events.push_back({stream[k], t, k, shape});
+      if (setup.replay_trace) {
+        stream.times = std::move(setup.trace_arrivals);
+        stream.shapes = std::move(setup.trace_shapes);
+      } else {
+        stream.times = serve::poisson_arrivals(setup.arrival_rps,
+                                               setup.requests, setup.seed);
       }
-    }
-    std::sort(events.begin(), events.end(),
-              [](const ArrivalEvent& a, const ArrivalEvent& b) {
-                return std::tie(a.time_s, a.tenant, a.seq) <
-                       std::tie(b.time_s, b.tenant, b.seq);
-              });
-    std::uint64_t port = 0;
-    for (const ArrivalEvent& event : events) {
-      const std::size_t ingress = port++ % packages;
-      const std::size_t package = balancer.route(event.tenant, ingress);
-      double at = event.time_s;
-      if (package != ingress) {
-        // The request rides the photonic link to its replica; the
-        // response rides back. Only the forward hop delays service.
-        at += link.transfer_latency_s(request_bits[event.tenant]);
-        charge_transfer(event.tenant, 1);
-        if (rec != nullptr && rec->tracing()) {
-          rec->trace().add_complete(
-              "transfer", "cluster", event.time_s, at, frontend_pid,
-              frontend_track,
-              {obs::arg("tenant",
-                        whole.tenants[event.tenant].name.empty()
-                            ? whole.tenants[event.tenant].model
-                            : whole.tenants[event.tenant].name),
-               obs::arg("from_package",
-                        static_cast<std::uint64_t>(ingress)),
-               obs::arg("to_package",
-                        static_cast<std::uint64_t>(package))});
+      if (stream.shapes.empty() && setup.prefill_tokens > 0) {
+        util::Xoshiro256 shape_rng(setup.seed ^ 0x746f6b656eULL);
+        stream.shapes.reserve(stream.times.size());
+        for (std::size_t k = 0; k < stream.times.size(); ++k) {
+          stream.shapes.push_back(serve::draw_request_shape(
+              setup.prefill_tokens, setup.decode_tokens, setup.token_spread,
+              shape_rng));
         }
       }
-      arrivals[package][event.tenant].push_back({at, event.shape});
     }
-    for (auto& package : arrivals) {
-      for (auto& stream : package) {
-        // Stable: link-delayed ties keep their dispatch order, and each
-        // shape rides with its arrival time.
-        std::stable_sort(stream.begin(), stream.end(),
-                         [](const RoutedArrival& a, const RoutedArrival& b) {
-                           return a.first < b.first;
-                         });
-      }
-    }
+    routed = dispatch_open_loop(
+        std::move(streams), packages, balancer, [&](const LinkHop& hop) {
+          charge_transfer(hop.tenant, 1);
+          if (rec != nullptr && rec->tracing()) {
+            const serve::TenantSetup& tenant = whole.tenants[hop.tenant];
+            rec->trace().add_complete(
+                "transfer", "cluster", hop.sent_s, hop.arrival_s,
+                frontend_pid, frontend_track,
+                {obs::arg("tenant",
+                          tenant.name.empty() ? tenant.model : tenant.name),
+                 obs::arg("from_package",
+                          static_cast<std::uint64_t>(hop.ingress)),
+                 obs::arg("to_package",
+                          static_cast<std::uint64_t>(hop.package))});
+          }
+        });
   } else {
     // Closed loop: the front end pins each user to one replica for its
     // whole session; per-user issue budgets follow the user.
@@ -265,11 +349,11 @@ ClusterReport simulate(const ClusterConfig& config) {
     package.arch = whole.arch;
     package.pipeline = whole.pipeline;
     // Every package runs the same elastic policy; faults are delivered
-    // only to the package they name (package < 0 hits all of them).
+    // only to the package they name (package -1 hits all of them).
     package.elastic = whole.elastic;
     package.elastic.faults.clear();
     for (const serve::FaultSpec& fault : whole.elastic.faults) {
-      if (fault.package < 0 || fault.package == static_cast<int>(p)) {
+      if (fault.package == -1 || fault.package == static_cast<int>(p)) {
         package.elastic.faults.push_back(fault);
       }
     }
@@ -293,16 +377,8 @@ ClusterReport simulate(const ClusterConfig& config) {
                       kReplicaSeedStride * *placement.replica_index(t, p);
       } else {
         tenant.replay_trace = true;
-        tenant.trace_arrivals.clear();
-        tenant.trace_shapes.clear();
-        const bool var = tenant.prefill_tokens > 0 ||
-                         !whole.tenants[t].trace_shapes.empty();
-        for (const RoutedArrival& routed : arrivals[p][t]) {
-          tenant.trace_arrivals.push_back(routed.first);
-          if (var) {
-            tenant.trace_shapes.push_back(routed.second);
-          }
-        }
+        tenant.trace_arrivals = std::move(routed[p][t].times);
+        tenant.trace_shapes = std::move(routed[p][t].shapes);
       }
       package.tenants.push_back(std::move(tenant));
     }

@@ -18,6 +18,8 @@
 /// simulator bit for bit.
 
 #include <cstddef>
+#include <functional>
+#include <vector>
 
 #include "accel/platform.hpp"
 #include "cluster/cluster_report.hpp"
@@ -30,6 +32,50 @@ class Recorder;
 }  // namespace optiplet::obs
 
 namespace optiplet::cluster {
+
+class LoadBalancer;
+
+/// One tenant's open-loop arrival stream at the rack's front end.
+struct TenantStream {
+  /// Arrival times [s], non-decreasing: Poisson arrivals are cumulative
+  /// sums, and `serve::load_arrival_trace` stable-sorts its rows.
+  std::vector<double> times;
+  /// Request shapes aligned with `times`; empty for fixed-shape tenants.
+  std::vector<serve::RequestShape> shapes;
+  /// Forward-hop link latency of a request served off its ingress [s].
+  double hop_s = 0.0;
+};
+
+/// The arrivals one package serves for one tenant, as a replay trace.
+struct RoutedStream {
+  /// Arrival times at the package [s], sorted; ties in dispatch order.
+  std::vector<double> times;
+  /// Shapes aligned with `times` (empty when the tenant's stream has none).
+  std::vector<serve::RequestShape> shapes;
+};
+
+/// One request served off its ingress package: it leaves `ingress` at
+/// `sent_s` and reaches `package` at `arrival_s`.
+struct LinkHop {
+  std::size_t tenant = 0;
+  std::size_t ingress = 0;
+  std::size_t package = 0;
+  double sent_s = 0.0;
+  double arrival_s = 0.0;
+};
+
+/// The open-loop front end, linear in the number of arrivals. Merges
+/// `streams` on (time, tenant, seq); arrival k of the merged stream enters
+/// at ingress port k mod `packages`, `balancer` picks its package, and one
+/// served off its ingress arrives its tenant's `hop_s` later and is
+/// reported to `on_hop`, in dispatch order. Returns the [package][tenant]
+/// streams, each sorted by arrival time at the package with ties in
+/// dispatch order. Throws std::invalid_argument when a stream is unsorted
+/// or its shapes are misaligned.
+[[nodiscard]] std::vector<std::vector<RoutedStream>> dispatch_open_loop(
+    std::vector<TenantStream> streams, std::size_t packages,
+    LoadBalancer& balancer,
+    const std::function<void(const LinkHop&)>& on_hop);
 
 struct ClusterConfig {
   /// Per-package base system (Table 1 by default).

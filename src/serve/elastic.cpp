@@ -55,6 +55,12 @@ bool parse_unsigned(const std::string& text, unsigned& out) {
 
 bool ElasticSpec::enabled() const { return !(*this == ElasticSpec{}); }
 
+std::string to_string(const FaultSpec& fault) {
+  return "fault=" + fmt(fault.time_s) + ':' + std::to_string(fault.chiplet) +
+         ':' + fmt(fault.bandwidth_derate) + ':' +
+         std::to_string(fault.package);
+}
+
 std::string to_string(const ElasticSpec& spec) {
   const ElasticSpec defaults;
   std::vector<std::string> parts;
@@ -85,10 +91,7 @@ std::string to_string(const ElasticSpec& spec) {
                     fmt(spec.carbon_period_s));
   }
   for (const FaultSpec& fault : spec.faults) {
-    parts.push_back("fault=" + fmt(fault.time_s) + ':' +
-                    std::to_string(fault.chiplet) + ':' +
-                    fmt(fault.bandwidth_derate) + ':' +
-                    std::to_string(fault.package));
+    parts.push_back(to_string(fault));
   }
   if (parts.empty()) {
     return "static";

@@ -116,6 +116,9 @@ struct ElasticSpec {
 /// `carbon=400:0.5:86400/fault=3600:2:1:-1`.
 [[nodiscard]] std::string to_string(const ElasticSpec& spec);
 
+/// One fault's field of the `to_string` form, e.g. `fault=3600:2:1:-1`.
+[[nodiscard]] std::string to_string(const FaultSpec& fault);
+
 /// Parse the `to_string` form (also accepts "static" / "" for the default).
 /// Returns nullopt on malformed input.
 [[nodiscard]] std::optional<ElasticSpec> elastic_from_string(
