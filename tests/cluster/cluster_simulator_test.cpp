@@ -249,7 +249,7 @@ TEST(ClusterSimulator, FaultOnAMissingPackageFailsAtTheBoundary) {
           << message;
     }
   }
-  // Both bounds are inclusive of a real target.
+  // Every package (-1) and the last package stay valid.
   for (const int package : {-1, 1}) {
     fault.package = package;
     config.serving.elastic.faults = {fault};
@@ -308,6 +308,7 @@ TEST(ClusterSimulator, ShuffledShapedTraceReplaysOnAMultiPackageRack) {
 
     EXPECT_EQ(one.metrics.rack.completed, rows.size());
     EXPECT_GT(one.metrics.rack.decode_tps, 0.0);
+    EXPECT_GT(one.metrics.transfers, 0u);
     for (const ClusterReport* other : {&three, &presorted}) {
       expect_rack_equals(one.metrics.rack, other->metrics.rack);
       EXPECT_EQ(one.metrics.rack.ttft_p99_s, other->metrics.rack.ttft_p99_s);
