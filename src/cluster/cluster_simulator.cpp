@@ -197,13 +197,11 @@ ClusterReport simulate(const ClusterConfig& config) {
   const std::size_t n = whole.tenants.size();
 
   std::vector<std::string> models;
-  std::vector<double> pool_weights;
   for (const auto& tenant : whole.tenants) {
     models.push_back(tenant.model);
-    pool_weights.push_back(tenant.weight);
   }
-  Placement placement =
-      place_tenants(spec, config.system, config.arch, models, pool_weights);
+  Placement placement = place_tenants(spec, config.system, config.arch,
+                                      models, std::vector<double>(n, 1.0));
 
   const PackageLink link = make_package_link(spec, config.system.photonic,
                                              config.system.tech.photonic);
@@ -252,10 +250,14 @@ ClusterReport simulate(const ClusterConfig& config) {
         static_cast<double>(count) * price.round_trip_s;
     metrics.transfer_energy_j +=
         static_cast<double>(count) * price.round_trip_j;
+  };
+  // The transfer counters reach the metrics CSV only at the rack's final
+  // snapshot, and their sums are exact (hop counts, and byte counts with
+  // at most a 1/8 fraction), so each batch of charges is metered once.
+  const auto meter_transfers = [&](std::uint64_t count, double bytes) {
     if (rec != nullptr && rec->metering()) {
       rec->metrics().add("cluster.transfers", static_cast<double>(count));
-      rec->metrics().add("cluster.transfer_bytes",
-                         static_cast<double>(count) * price.bits / 8.0);
+      rec->metrics().add("cluster.transfer_bytes", bytes);
     }
   };
 
@@ -295,9 +297,11 @@ ClusterReport simulate(const ClusterConfig& config) {
         }
       }
     }
+    double hop_bytes = 0.0;
     routed = dispatch_open_loop(
         std::move(streams), packages, balancer, [&](const LinkHop& hop) {
           charge_transfer(hop.tenant, 1);
+          hop_bytes += prices[hop.tenant].bits / 8.0;
           if (rec != nullptr && rec->tracing()) {
             const serve::TenantSetup& tenant = whole.tenants[hop.tenant];
             rec->trace().add_complete(
@@ -311,6 +315,9 @@ ClusterReport simulate(const ClusterConfig& config) {
                           static_cast<std::uint64_t>(hop.package))});
           }
         });
+    if (metrics.transfers > 0) {
+      meter_transfers(metrics.transfers, hop_bytes);
+    }
   } else {
     // Closed loop: the front end pins each user to one replica for its
     // whole session; per-user issue budgets follow the user.
@@ -475,6 +482,8 @@ ClusterReport simulate(const ClusterConfig& config) {
                 static_cast<double>(remote_users[p][t]) /
                 static_cast<double>(users[p][t])));
             charge_transfer(t, remote);
+            meter_transfers(remote, static_cast<double>(remote) *
+                                        prices[t].bits / 8.0);
           }
         }
       }

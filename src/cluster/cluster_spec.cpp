@@ -42,18 +42,12 @@ std::vector<std::size_t> ClusterSpec::replications(
   std::vector<std::size_t> factors;
   factors.reserve(tenant_count);
   for (const auto& part : parts) {
-    std::size_t used = 0;
-    unsigned long value = 0;
-    try {
-      value = std::stoul(part, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used != part.size() || part.empty() || value < 1) {
+    const auto value = util::parse_number<std::size_t>(part);
+    if (!value || *value < 1) {
       throw std::invalid_argument("bad replication factor \"" + part +
                                   "\" in replication_mix");
     }
-    factors.push_back(clamp(static_cast<std::size_t>(value)));
+    factors.push_back(clamp(*value));
   }
   return factors;
 }

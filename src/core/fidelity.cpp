@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
-#include <stdexcept>
 
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -18,48 +17,12 @@ std::string format_shortest(double value) {
   char buf[64];
   for (int precision = 1; precision <= 17; ++precision) {
     std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    try {
-      if (std::stod(buf) == value) {
-        return buf;
-      }
-    } catch (const std::exception&) {
-      break;
+    if (util::parse_number<double>(buf) == value) {
+      return buf;
     }
   }
   std::snprintf(buf, sizeof(buf), "%.17g", value);
   return buf;
-}
-
-std::optional<std::uint64_t> parse_u64(std::string_view text) {
-  if (text.empty()) {
-    return std::nullopt;
-  }
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      return std::nullopt;
-    }
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (~0ULL - digit) / 10) {
-      return std::nullopt;  // overflow
-    }
-    value = value * 10 + digit;
-  }
-  return value;
-}
-
-std::optional<double> parse_unit_interval(std::string_view text) {
-  try {
-    std::size_t used = 0;
-    const std::string owned(text);
-    const double value = std::stod(owned, &used);
-    if (used != owned.size() || !(value > 0.0) || !(value < 1.0)) {
-      return std::nullopt;
-    }
-    return value;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
 }
 
 bool is_sampling_knob(std::string_view name) {
@@ -72,7 +35,7 @@ bool is_sampling_knob(std::string_view name) {
 bool apply_knob(FidelitySpec& spec, std::string_view name,
                 std::string_view value) {
   if (name == "windows" || name == "w") {
-    const auto v = parse_u64(value);
+    const auto v = util::parse_number<std::uint64_t>(value);
     if (!v || *v > 1u << 20) {
       return false;
     }
@@ -80,7 +43,7 @@ bool apply_knob(FidelitySpec& spec, std::string_view name,
     return true;
   }
   if (name == "layers" || name == "l") {
-    const auto v = parse_u64(value);
+    const auto v = util::parse_number<std::uint64_t>(value);
     if (!v || *v == 0 || *v > 1u << 20) {
       return false;
     }
@@ -88,7 +51,7 @@ bool apply_knob(FidelitySpec& spec, std::string_view name,
     return true;
   }
   if (name == "seed" || name == "s") {
-    const auto v = parse_u64(value);
+    const auto v = util::parse_number<std::uint64_t>(value);
     if (!v) {
       return false;
     }
@@ -96,8 +59,8 @@ bool apply_knob(FidelitySpec& spec, std::string_view name,
     return true;
   }
   if (name == "conf" || name == "confidence") {
-    const auto v = parse_unit_interval(value);
-    if (!v) {
+    const auto v = util::parse_number<double>(value);
+    if (!v || !(*v > 0.0 && *v < 1.0)) {
       return false;
     }
     spec.confidence = *v;

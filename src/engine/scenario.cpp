@@ -4,6 +4,7 @@
 #include <array>
 #include <functional>
 #include <sstream>
+#include <stdexcept>
 #include <type_traits>
 
 #include "dnn/zoo.hpp"
@@ -286,8 +287,10 @@ const std::vector<Axis>& axis_table() {
            [](ScenarioSpec& s, const std::string& policy) {
              const std::optional<serve::ElasticSpec> parsed =
                  serve::elastic_from_string(policy);
-             OPTIPLET_REQUIRE(parsed.has_value(),
-                              "unparseable elastic policy: " + policy);
+             if (!parsed) {
+               throw std::invalid_argument("unparseable elastic policy: " +
+                                           policy);
+             }
              s.serving->elastic = *parsed;
            }),
       axis(Block::kCluster, &ScenarioGrid::package_counts,

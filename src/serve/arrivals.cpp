@@ -1,12 +1,12 @@
 #include "serve/arrivals.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "util/csv.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace optiplet::serve {
 
@@ -26,20 +26,14 @@ std::vector<double> poisson_arrivals(double rate_rps, std::uint64_t count,
 
 namespace {
 
-/// Strict non-negative integer parse for trace token columns.
-std::uint32_t parse_token_count(const std::string& text) {
-  unsigned long value = 0;
-  std::size_t used = 0;
-  try {
-    value = std::stoul(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
+std::uint32_t parse_token_count(const std::string& text,
+                                const char* column, const std::string& path) {
+  const auto value = util::parse_number<std::uint32_t>(text);
+  if (!value) {
+    throw std::invalid_argument(std::string("bad ") + column + " \"" + text +
+                                "\" (need a token count) in trace: " + path);
   }
-  if (used != text.size() || text.empty() || value > 0xffffffffUL) {
-    throw std::invalid_argument("bad token count in trace: \"" + text +
-                                "\"");
-  }
-  return static_cast<std::uint32_t>(value);
+  return *value;
 }
 
 }  // namespace
@@ -70,23 +64,13 @@ std::vector<TraceEvent> load_arrival_trace(const std::string& path) {
       throw std::invalid_argument("short row in arrival trace: " + path);
     }
     TraceEvent e;
-    try {
-      std::size_t used = 0;
-      e.arrival_s = std::stod(row[*time_col], &used);
-      if (used != row[*time_col].size()) {
-        throw std::invalid_argument("trailing characters");
-      }
-    } catch (const std::exception&) {
-      throw std::invalid_argument("bad arrival_s value in trace: \"" +
-                                  row[*time_col] + "\"");
-    }
-    // std::stod accepts "nan" and "inf"; neither is a time the event
-    // queue can schedule.
-    if (!std::isfinite(e.arrival_s) || e.arrival_s < 0.0) {
+    const auto arrival_s = util::parse_number<double>(row[*time_col]);
+    if (!arrival_s || *arrival_s < 0.0) {
       throw std::invalid_argument(
-          "arrival_s must be finite and non-negative, got \"" +
-          row[*time_col] + "\" in trace: " + path);
+          "bad arrival_s \"" + row[*time_col] +
+          "\" (need a finite, non-negative time) in trace: " + path);
     }
+    e.arrival_s = *arrival_s;
     if (tenant_col && row.size() > *tenant_col) {
       e.tenant = row[*tenant_col];
     }
@@ -94,8 +78,10 @@ std::vector<TraceEvent> load_arrival_trace(const std::string& path) {
       if (row.size() <= *prefill_col || row.size() <= *decode_col) {
         throw std::invalid_argument("short row in arrival trace: " + path);
       }
-      e.shape.prefill_tokens = parse_token_count(row[*prefill_col]);
-      e.shape.decode_tokens = parse_token_count(row[*decode_col]);
+      e.shape.prefill_tokens =
+          parse_token_count(row[*prefill_col], "prefill_tokens", path);
+      e.shape.decode_tokens =
+          parse_token_count(row[*decode_col], "decode_tokens", path);
       if (e.shape.decode_tokens > 0 && e.shape.prefill_tokens == 0) {
         throw std::invalid_argument(
             "trace row generates tokens from an empty prompt: " + path);

@@ -1,8 +1,8 @@
 #include "serve/elastic.hpp"
 
-#include <exception>
-#include <sstream>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -18,37 +18,39 @@ std::string fmt(double value) {
   return util::format_general(value, 17);
 }
 
-bool parse_double(const std::string& text, double& out) {
-  if (text == "inf") {
-    out = std::numeric_limits<double>::infinity();
-    return true;
+/// Read one codec number into `out`: util::parse_number's spelling, or
+/// the "inf" that fmt writes for a floating-point field.
+template <typename T>
+bool read(const std::string& text, T& out) {
+  std::optional<T> value = util::parse_number<T>(text);
+  if constexpr (std::is_floating_point_v<T>) {
+    if (text == "inf") {
+      value = std::numeric_limits<T>::infinity();
+    }
   }
-  try {
-    std::size_t pos = 0;
-    out = std::stod(text, &pos);
-    return pos == text.size();
-  } catch (const std::exception&) {
-    return false;
+  if (value) {
+    out = *value;
   }
+  return value.has_value();
 }
 
-bool parse_int(const std::string& text, int& out) {
-  try {
-    std::size_t pos = 0;
-    out = std::stoi(text, &pos);
-    return pos == text.size();
-  } catch (const std::exception&) {
-    return false;
+/// True when every field is in the range serve::simulate accepts:
+/// non-negative durations and fault times, a positive EMA time constant
+/// and carbon period, an amplitude in [0, 1], a derate in (0, 1], and
+/// chiplet and package ids of at least -1.
+bool in_range(const ElasticSpec& spec) {
+  for (const FaultSpec& fault : spec.faults) {
+    if (!(fault.time_s >= 0.0 && fault.bandwidth_derate > 0.0 &&
+          fault.bandwidth_derate <= 1.0 && fault.chiplet >= -1 &&
+          fault.package >= -1)) {
+      return false;
+    }
   }
-}
-
-bool parse_unsigned(const std::string& text, unsigned& out) {
-  int value = 0;
-  if (!parse_int(text, value) || value < 0) {
-    return false;
-  }
-  out = static_cast<unsigned>(value);
-  return true;
+  return spec.ema_tau_s > 0.0 && spec.cooldown_s >= 0.0 &&
+         spec.gate_after_s >= 0.0 && spec.wake_s >= 0.0 &&
+         spec.retry_backoff_s >= 0.0 && spec.curve_bucket_s >= 0.0 &&
+         spec.carbon_base_gpkwh >= 0.0 && spec.carbon_amplitude >= 0.0 &&
+         spec.carbon_amplitude <= 1.0 && spec.carbon_period_s > 0.0;
 }
 
 }  // namespace
@@ -112,50 +114,51 @@ std::optional<ElasticSpec> elastic_from_string(std::string_view text) {
     const std::string key = part.substr(0, eq);
     const std::vector<std::string> vals = util::split(part.substr(eq + 1), ':');
     if (key == "shift" && vals.size() == 1) {
-      if (!parse_double(vals[0], spec.shift_threshold)) {
+      if (!read(vals[0], spec.shift_threshold)) {
         return std::nullopt;
       }
     } else if (key == "tau" && vals.size() == 1) {
-      if (!parse_double(vals[0], spec.ema_tau_s)) {
+      if (!read(vals[0], spec.ema_tau_s)) {
         return std::nullopt;
       }
     } else if (key == "cool" && vals.size() == 1) {
-      if (!parse_double(vals[0], spec.cooldown_s)) {
+      if (!read(vals[0], spec.cooldown_s)) {
         return std::nullopt;
       }
     } else if (key == "gate" && vals.size() == 2) {
       spec.gate = true;
-      if (!parse_double(vals[0], spec.gate_after_s) ||
-          !parse_double(vals[1], spec.wake_s)) {
+      if (!read(vals[0], spec.gate_after_s) || !read(vals[1], spec.wake_s)) {
         return std::nullopt;
       }
     } else if (key == "retry" && vals.size() == 2) {
-      if (!parse_unsigned(vals[0], spec.retry_max_attempts) ||
-          !parse_double(vals[1], spec.retry_backoff_s)) {
+      if (!read(vals[0], spec.retry_max_attempts) ||
+          !read(vals[1], spec.retry_backoff_s)) {
         return std::nullopt;
       }
     } else if (key == "bucket" && vals.size() == 1) {
-      if (!parse_double(vals[0], spec.curve_bucket_s)) {
+      if (!read(vals[0], spec.curve_bucket_s)) {
         return std::nullopt;
       }
     } else if (key == "carbon" && vals.size() == 3) {
-      if (!parse_double(vals[0], spec.carbon_base_gpkwh) ||
-          !parse_double(vals[1], spec.carbon_amplitude) ||
-          !parse_double(vals[2], spec.carbon_period_s)) {
+      if (!read(vals[0], spec.carbon_base_gpkwh) ||
+          !read(vals[1], spec.carbon_amplitude) ||
+          !read(vals[2], spec.carbon_period_s)) {
         return std::nullopt;
       }
     } else if (key == "fault" && vals.size() == 4) {
       FaultSpec fault;
-      if (!parse_double(vals[0], fault.time_s) ||
-          !parse_int(vals[1], fault.chiplet) ||
-          !parse_double(vals[2], fault.bandwidth_derate) ||
-          !parse_int(vals[3], fault.package)) {
+      if (!read(vals[0], fault.time_s) || !read(vals[1], fault.chiplet) ||
+          !read(vals[2], fault.bandwidth_derate) ||
+          !read(vals[3], fault.package)) {
         return std::nullopt;
       }
       spec.faults.push_back(fault);
     } else {
       return std::nullopt;
     }
+  }
+  if (!in_range(spec)) {
+    return std::nullopt;
   }
   return spec;
 }

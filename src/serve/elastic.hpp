@@ -120,7 +120,8 @@ struct ElasticSpec {
 [[nodiscard]] std::string to_string(const FaultSpec& fault);
 
 /// Parse the `to_string` form (also accepts "static" / "" for the default).
-/// Returns nullopt on malformed input.
+/// Returns nullopt on malformed input, and on a value outside the range
+/// serve::simulate accepts (a negative duration, say).
 [[nodiscard]] std::optional<ElasticSpec> elastic_from_string(
     std::string_view text);
 

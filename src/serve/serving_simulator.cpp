@@ -20,6 +20,7 @@
 #include "sim/event_queue.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
+#include "util/table.hpp"
 
 namespace optiplet::serve {
 namespace {
@@ -1836,6 +1837,32 @@ ColocationPlan monolithic_plan(const core::SystemConfig& system,
   return plan;
 }
 
+/// True when the tenant's requests carry token geometry: mean lengths,
+/// or replayed shapes with a prompt.
+bool has_token_geometry(const TenantSetup& setup) {
+  return setup.prefill_tokens > 0 ||
+         std::any_of(setup.trace_shapes.begin(), setup.trace_shapes.end(),
+                     [](const RequestShape& s) { return s.variable_length(); });
+}
+
+/// Tokens resident at completion of the tenant's longest request: the
+/// trace maximum when shapes are replayed, the top of the uniform spread
+/// when drawn.
+std::uint64_t worst_case_tokens(const TenantSetup& setup) {
+  std::uint64_t worst = 0;
+  for (const RequestShape& s : setup.trace_shapes) {
+    worst = std::max(worst, s.total_tokens());
+  }
+  if (!setup.trace_shapes.empty()) {
+    return worst;
+  }
+  const auto worst_of = [&](std::uint32_t mean) {
+    return static_cast<std::uint64_t>(
+        std::ceil(mean * (1.0 + setup.token_spread)));
+  };
+  return worst_of(setup.prefill_tokens) + worst_of(setup.decode_tokens);
+}
+
 void finalize_tenant(TenantState& ts, double makespan_s) {
   TenantReport& r = ts.report;
   r.energy_j += ts.energy_accum_j;  // the still-open busy period's fold
@@ -1861,12 +1888,9 @@ void finalize_tenant(TenantState& ts, double makespan_s) {
 
 }  // namespace
 
-ColocatedSetup make_colocated_setup(const core::SystemConfig& system,
-                                    accel::Architecture arch,
-                                    const std::vector<std::string>& model_names,
-                                    const std::vector<double>& weights) {
-  OPTIPLET_REQUIRE(weights.empty() || weights.size() == model_names.size(),
-                   "weights must be empty or match the model list");
+ColocatedSetup make_colocated_setup(
+    const core::SystemConfig& system, accel::Architecture arch,
+    const std::vector<std::string>& model_names) {
   ColocatedSetup setup;
   std::vector<TenantDemand> demands;
   setup.models.reserve(model_names.size());
@@ -1875,7 +1899,6 @@ ColocatedSetup make_colocated_setup(const core::SystemConfig& system,
     TenantDemand demand;
     demand.needed_kinds = needed_kinds(
         dnn::compute_workload(setup.models.back(), system.parameter_bits));
-    demand.weight = weights.empty() ? 1.0 : weights[t];
     demands.push_back(std::move(demand));
   }
 
@@ -1946,13 +1969,11 @@ ServingReport simulate(const ServingConfig& config) {
                    "elastic re-partitioning needs the 2.5D chiplet pool");
 
   std::vector<std::string> model_names;
-  std::vector<double> weights;
   for (const auto& setup : config.tenants) {
     model_names.push_back(setup.model);
-    weights.push_back(setup.weight);
   }
   ColocatedSetup setup =
-      make_colocated_setup(config.system, config.arch, model_names, weights);
+      make_colocated_setup(config.system, config.arch, model_names);
   const ColocationPlan& plan = setup.plan;
   ServiceTimeOracle oracle(std::move(setup.oracle_tenants), config.arch);
 
@@ -1962,24 +1983,16 @@ ServingReport simulate(const ServingConfig& config) {
   engine.chiplet_dead.assign(plan.chiplet_active_power_w.size(), 0);
   engine.dead_since.assign(plan.chiplet_active_power_w.size(), 0.0);
   engine.chiplet_gated_s.assign(plan.chiplet_active_power_w.size(), 0.0);
-  engine.cur_weights = weights;
-  {
-    double total_w = 0.0;
-    for (const double w : weights) {
-      total_w += w;
-    }
-    engine.alloc_share.resize(weights.size());
-    for (std::size_t t = 0; t < weights.size(); ++t) {
-      engine.alloc_share[t] = weights[t] / total_w;
-    }
-  }
+  // Every tenant starts at weight 1: an even share of the pool.
+  engine.cur_weights.assign(model_names.size(), 1.0);
+  engine.alloc_share.assign(model_names.size(),
+                            1.0 / static_cast<double>(model_names.size()));
   if (pool_elastic) {
     // Keep the demand skeleton so re-partitions only swap the weights.
     for (std::size_t t = 0; t < setup.models.size(); ++t) {
       TenantDemand demand;
       demand.needed_kinds = needed_kinds(dnn::compute_workload(
           setup.models[t], config.system.parameter_bits));
-      demand.weight = weights[t];
       engine.base_demands.push_back(std::move(demand));
     }
     engine.base_models = std::move(setup.models);
@@ -1988,10 +2001,7 @@ ServingReport simulate(const ServingConfig& config) {
   for (std::size_t t = 0; t < config.tenants.size(); ++t) {
     const TenantSetup& setup = config.tenants[t];
     const std::optional<dnn::TransformerSpec>& tspec = oracle.transformer(t);
-    const bool traced_shapes =
-        std::any_of(setup.trace_shapes.begin(), setup.trace_shapes.end(),
-                    [](const RequestShape& s) { return s.variable_length(); });
-    const bool var = setup.prefill_tokens > 0 || traced_shapes;
+    const bool var = has_token_geometry(setup);
     BatchingConfig batching = setup.batching;
     std::uint32_t prefill_mean = setup.prefill_tokens;
     std::uint32_t decode_mean = setup.decode_tokens;
@@ -2009,34 +2019,22 @@ ServingReport simulate(const ServingConfig& config) {
           setup.trace_shapes.empty() ||
               setup.trace_shapes.size() == setup.trace_arrivals.size(),
           "trace_shapes must align one-to-one with trace_arrivals");
-      // Worst-case per-request context (tokens resident at completion):
-      // the trace maximum when shapes are replayed, the top of the uniform
-      // spread when drawn. It must fit the model's context window, and it
-      // sizes the KV reservation that caps concurrent decode slots.
-      std::uint64_t worst_total = 0;
-      if (!setup.trace_shapes.empty()) {
+      if (!setup.trace_shapes.empty() && prefill_mean == 0) {
         std::uint64_t prefill_sum = 0;
         std::uint64_t decode_sum = 0;
         for (const RequestShape& s : setup.trace_shapes) {
-          worst_total = std::max(worst_total, s.total_tokens());
           prefill_sum += s.prefill_tokens;
           decode_sum += s.decode_tokens;
         }
-        if (prefill_mean == 0) {
-          const auto n_shapes =
-              static_cast<double>(setup.trace_shapes.size());
-          prefill_mean = static_cast<std::uint32_t>(std::max<long>(
-              1, std::lround(static_cast<double>(prefill_sum) / n_shapes)));
-          decode_mean = static_cast<std::uint32_t>(std::lround(
-              static_cast<double>(decode_sum) / n_shapes));
-        }
-      } else {
-        const auto worst_of = [&](std::uint32_t mean) {
-          return static_cast<std::uint64_t>(
-              std::ceil(mean * (1.0 + setup.token_spread)));
-        };
-        worst_total = worst_of(prefill_mean) + worst_of(decode_mean);
+        const auto n_shapes = static_cast<double>(setup.trace_shapes.size());
+        prefill_mean = static_cast<std::uint32_t>(std::max<long>(
+            1, std::lround(static_cast<double>(prefill_sum) / n_shapes)));
+        decode_mean = static_cast<std::uint32_t>(
+            std::lround(static_cast<double>(decode_sum) / n_shapes));
       }
+      // The worst case must fit the model's context window, and it sizes
+      // the KV reservation that caps concurrent decode slots.
+      const std::uint64_t worst_total = worst_case_tokens(setup);
       OPTIPLET_REQUIRE(
           worst_total <= tspec->max_context,
           "request tokens exceed the model's max_context: " + setup.model);
@@ -2432,6 +2430,22 @@ ServingConfig make_serving_config(const core::SystemConfig& base,
   const auto n = mix.size();
   const std::vector<unsigned> priorities = spec.priorities();
 
+  // A chiplet fault needs a chiplet of the 2.5D pool to kill.
+  std::size_t pool = 0;
+  if (arch != accel::Architecture::kMonolithicCrossLight) {
+    for (const accel::ChipletGroup& group : base.compute_2p5d.groups) {
+      pool += group.chiplet_count;
+    }
+  }
+  for (const FaultSpec& fault : spec.elastic.faults) {
+    if (fault.armed() && fault.chiplet >= static_cast<int>(pool)) {
+      throw std::invalid_argument(
+          to_string(fault) + " names chiplet " +
+          std::to_string(fault.chiplet) + " outside the 2.5D pool of " +
+          std::to_string(pool) + " chiplets");
+    }
+  }
+
   OPTIPLET_REQUIRE(spec.source != ArrivalSource::kClosedLoop ||
                        spec.trace_path.empty(),
                    "closed-loop arrivals cannot replay a trace");
@@ -2475,6 +2489,36 @@ ServingConfig make_serving_config(const core::SystemConfig& base,
       tenant.trace_shapes = trace_shapes_for(trace, tenant.name);
     }
     config.tenants.push_back(std::move(tenant));
+  }
+  // Token geometry needs a transformer whose context window holds the
+  // worst-case request.
+  for (const TenantSetup& tenant : config.tenants) {
+    if (!has_token_geometry(tenant)) {
+      continue;
+    }
+    const std::optional<dnn::TransformerSpec>& transformer =
+        dnn::ModelRegistry::instance().at(tenant.model).transformer;
+    if (!transformer) {
+      throw std::invalid_argument(
+          (spec.prefill_tokens > 0
+               ? "prefill_tokens " + std::to_string(spec.prefill_tokens)
+               : "the token columns of trace " + spec.trace_path) +
+          " on fixed-shape model " + tenant.model +
+          " (token geometry needs a transformer)");
+    }
+    const std::uint64_t worst = worst_case_tokens(tenant);
+    if (worst > transformer->max_context) {
+      throw std::invalid_argument(
+          (tenant.trace_shapes.empty()
+               ? "prefill_tokens " + std::to_string(spec.prefill_tokens) +
+                     ", decode_tokens " + std::to_string(spec.decode_tokens) +
+                     " and token_spread " +
+                     util::format_general(spec.token_spread) + " make"
+               : "trace " + spec.trace_path + " has") +
+          " a request of " + std::to_string(worst) +
+          " tokens, over the max_context " +
+          std::to_string(transformer->max_context) + " of " + tenant.model);
+    }
   }
   if (!spec.trace_path.empty()) {
     // A trace that feeds nobody is a labeling mistake (e.g. rows labeled

@@ -139,8 +139,6 @@ struct TenantSetup {
   unsigned priority = 0;
   /// Latency SLA [s]; <= 0 derives 10x the tenant's batch-1 service time.
   double sla_s = 0.0;
-  /// Share weight for splitting contended chiplet groups.
-  double weight = 1.0;
 };
 
 struct ServingConfig {
@@ -178,12 +176,11 @@ struct ColocatedSetup {
   std::vector<ServiceTimeOracle::Tenant> oracle_tenants;
 };
 
-/// Resolve `model_names` against the system's pool. `weights` sets the
-/// contended-group split shares (empty = all 1.0).
+/// Resolve `model_names` against the system's pool, every tenant at an
+/// equal contended-group share.
 [[nodiscard]] ColocatedSetup make_colocated_setup(
     const core::SystemConfig& system, accel::Architecture arch,
-    const std::vector<std::string>& model_names,
-    const std::vector<double>& weights = {});
+    const std::vector<std::string>& model_names);
 
 /// Run one serving simulation to completion (all arrivals served).
 [[nodiscard]] ServingReport simulate(const ServingConfig& config);

@@ -118,18 +118,12 @@ std::vector<unsigned> ServingSpec::priorities() const {
   std::vector<unsigned> classes;
   classes.reserve(n);
   for (const auto& part : parts) {
-    std::size_t used = 0;
-    unsigned long value = 0;
-    try {
-      value = std::stoul(part, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used != part.size() || part.empty() || value > 0xffffffffUL) {
+    const auto value = util::parse_number<unsigned>(part);
+    if (!value) {
       throw std::invalid_argument("bad priority class in priority_mix: \"" +
                                   part + "\"");
     }
-    classes.push_back(static_cast<unsigned>(value));
+    classes.push_back(*value);
   }
   return classes;
 }

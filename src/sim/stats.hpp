@@ -1,6 +1,6 @@
 #pragma once
 /// \file stats.hpp
-/// Simulation statistics: running moments, histograms, and named counters.
+/// Simulation statistics: running moments and log-bucket histograms.
 ///
 /// These are the primitives every simulator in the library reports through;
 /// keeping them allocation-light matters because the cycle-accurate NoC
@@ -9,8 +9,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "util/require.hpp"
@@ -71,71 +69,6 @@ class RunningStat {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-bin-width histogram with an overflow bucket; used for packet
-/// latency distributions.
-class Histogram {
- public:
-  /// `bin_width` > 0; values >= bin_width*bin_count land in overflow.
-  Histogram(double bin_width, std::size_t bin_count)
-      : bin_width_(bin_width), bins_(bin_count, 0) {
-    OPTIPLET_REQUIRE(bin_width > 0.0, "histogram bin width must be positive");
-    OPTIPLET_REQUIRE(bin_count > 0, "histogram needs at least one bin");
-  }
-
-  void add(double x) {
-    stat_.add(x);
-    if (x < 0.0) {
-      ++underflow_;
-      return;
-    }
-    const auto idx = static_cast<std::size_t>(x / bin_width_);
-    if (idx < bins_.size()) {
-      ++bins_[idx];
-    } else {
-      ++overflow_;
-    }
-  }
-
-  [[nodiscard]] std::uint64_t bin(std::size_t i) const { return bins_.at(i); }
-  [[nodiscard]] std::size_t bin_count() const { return bins_.size(); }
-  [[nodiscard]] double bin_width() const { return bin_width_; }
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
-  [[nodiscard]] const RunningStat& stat() const { return stat_; }
-
-  /// Value below which `q` (0..1] of samples fall, linearly interpolated
-  /// within the containing bin. Overflowed samples pin the result to the
-  /// histogram's upper edge.
-  [[nodiscard]] double quantile(double q) const {
-    OPTIPLET_REQUIRE(q > 0.0 && q <= 1.0, "quantile must be in (0,1]");
-    const std::uint64_t total = stat_.count();
-    if (total == 0) {
-      return 0.0;
-    }
-    const auto target =
-        static_cast<std::uint64_t>(q * static_cast<double>(total) + 0.5);
-    std::uint64_t seen = underflow_;
-    for (std::size_t i = 0; i < bins_.size(); ++i) {
-      seen += bins_[i];
-      if (seen >= target) {
-        const std::uint64_t into = bins_[i] - (seen - target);
-        const double frac =
-            bins_[i] ? static_cast<double>(into) / static_cast<double>(bins_[i])
-                     : 0.0;
-        return (static_cast<double>(i) + frac) * bin_width_;
-      }
-    }
-    return bin_width_ * static_cast<double>(bins_.size());
-  }
-
- private:
-  double bin_width_;
-  std::vector<std::uint64_t> bins_;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t underflow_ = 0;
-  RunningStat stat_;
 };
 
 /// Geometric-bucket histogram spanning [lo, hi): bucket i covers
@@ -236,29 +169,6 @@ class LogHistogram {
   std::uint64_t underflow_ = 0;
   std::uint64_t overflow_ = 0;
   RunningStat stat_;
-};
-
-/// Named monotonic counters grouped in one registry, so simulators can expose
-/// "flits_routed", "packets_dropped", ... without bespoke member lists.
-class CounterSet {
- public:
-  void add(const std::string& name, std::uint64_t delta = 1) {
-    counters_[name] += delta;
-  }
-
-  [[nodiscard]] std::uint64_t get(const std::string& name) const {
-    const auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-  }
-
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& all() const {
-    return counters_;
-  }
-
-  void reset() { counters_.clear(); }
-
- private:
-  std::map<std::string, std::uint64_t> counters_;
 };
 
 }  // namespace optiplet::sim

@@ -1,9 +1,16 @@
 #pragma once
 /// \file strings.hpp
-/// Small string helpers shared by the CLIs and the serving spec parser.
+/// Small string helpers shared by the CLIs, the codecs and the trace
+/// reader, including the one parser every number read from text goes
+/// through.
 
+#include <charconv>
+#include <cmath>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace optiplet::util {
@@ -37,6 +44,29 @@ namespace optiplet::util {
     out += parts[i];
   }
   return out;
+}
+
+/// Parse all of `text` as a T, or nullopt. This is the one number
+/// spelling of every flag, codec, mix string and trace column: a decimal
+/// or exponent form ("0.5", "2e-3", "-1"), finite for floating-point T,
+/// plain decimal digits (after a '-' for a signed T) for integral T.
+/// Whitespace, '+', hex, trailing text, a sign on an unsigned T, and
+/// values out of T's range all fail.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_number(std::string_view text) {
+  static_assert(std::is_arithmetic_v<T> && !std::is_same_v<T, bool>);
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) {
+    return std::nullopt;
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) {
+      return std::nullopt;
+    }
+  }
+  return value;
 }
 
 }  // namespace optiplet::util

@@ -141,18 +141,14 @@ TEST(PipelineServing, EveryStageChainRunsOnceInLayerOrder) {
   spec.policy = BatchPolicy::kDeadline;
   spec.max_batch = 4;
   spec.max_wait_s = 1.0e-3;
-  spec.prefill_tokens = 32;
-  spec.decode_tokens = 4;
-  spec.token_spread = 0.5;
   ServingConfig config = make_serving_config(
       core::default_system_config(), accel::Architecture::kSiph2p5D, spec);
   config.record_batches = true;
+  // Only TinyGPT carries token geometry; the CNNs are fixed-shape.
   config.tenants[0].batching.policy = BatchPolicy::kNone;
-  for (std::size_t t = 1; t < config.tenants.size(); ++t) {
-    config.tenants[t].prefill_tokens = 0;
-    config.tenants[t].decode_tokens = 0;
-    config.tenants[t].token_spread = 0.0;
-  }
+  config.tenants[0].prefill_tokens = 32;
+  config.tenants[0].decode_tokens = 4;
+  config.tenants[0].token_spread = 0.5;
   const ServingReport report = simulate(config);
   EXPECT_EQ(report.metrics.completed, 150u);
 

@@ -465,7 +465,7 @@ ServingSpec elastic_spec() {
 /// pool, and TinyGPT's tenant-level work (whole batches under
 /// `gpt_policy`, or continuous iterations) contends with the CNNs' stage
 /// waiters for it across two priority classes. The CNNs deadline-batch
-/// with their token fields zeroed.
+/// as fixed-shape tenants: only TinyGPT carries token geometry.
 ServingConfig mixed_layer_config(BatchPolicy gpt_policy) {
   ServingSpec spec;
   spec.tenant_mix = "TinyGPT+LeNet5+MobileNetV2";
@@ -476,16 +476,11 @@ ServingConfig mixed_layer_config(BatchPolicy gpt_policy) {
   spec.policy = BatchPolicy::kDeadline;
   spec.max_batch = 4;
   spec.max_wait_s = 1.0e-3;
-  spec.prefill_tokens = 32;
-  spec.decode_tokens = 4;
-  spec.token_spread = 0.5;
   ServingConfig config = config_of(spec);
   config.tenants[0].batching.policy = gpt_policy;
-  for (std::size_t t = 1; t < config.tenants.size(); ++t) {
-    config.tenants[t].prefill_tokens = 0;
-    config.tenants[t].decode_tokens = 0;
-    config.tenants[t].token_spread = 0.0;
-  }
+  config.tenants[0].prefill_tokens = 32;
+  config.tenants[0].decode_tokens = 4;
+  config.tenants[0].token_spread = 0.5;
   return config;
 }
 

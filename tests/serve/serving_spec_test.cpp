@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
+#include "core/system_config.hpp"
+#include "serve/serving_simulator.hpp"
 #include "util/rng.hpp"
 
 namespace optiplet::serve {
@@ -108,6 +111,54 @@ TEST(RequestShape, TotalAndVariableLength) {
   const RequestShape var{256, 32};
   EXPECT_TRUE(var.variable_length());
   EXPECT_EQ(var.total_tokens(), 288u);
+}
+
+/// make_serving_config's message for `spec`, or "" when it accepts it.
+std::string entry_error(const ServingSpec& spec) {
+  try {
+    (void)make_serving_config(core::default_system_config(),
+                              accel::Architecture::kSiph2p5D, spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// What serve::simulate would only catch as a failed requirement fails in
+// make_serving_config instead, naming the field and the value.
+TEST(ServingEntryChecks, NameTheFieldTheyRefuse) {
+  ServingSpec fixed_shape;
+  fixed_shape.tenant_mix = "LeNet5";
+  fixed_shape.prefill_tokens = 8;
+  EXPECT_EQ(entry_error(fixed_shape),
+            "prefill_tokens 8 on fixed-shape model LeNet5 (token geometry "
+            "needs a transformer)");
+
+  ServingSpec too_long;
+  too_long.tenant_mix = "TinyGPT";
+  too_long.prefill_tokens = 2000;
+  too_long.decode_tokens = 40;
+  too_long.token_spread = 0.5;
+  EXPECT_EQ(entry_error(too_long),
+            "prefill_tokens 2000, decode_tokens 40 and token_spread 0.5 make "
+            "a request of 3060 tokens, over the max_context 2048 of TinyGPT");
+  too_long.token_spread = 0.0;
+  too_long.prefill_tokens = 2008;
+  EXPECT_EQ(entry_error(too_long), "");  // exactly max_context fits
+
+  ServingSpec dead_chiplet;
+  dead_chiplet.tenant_mix = "LeNet5";
+  dead_chiplet.elastic.faults.push_back({1.0, 8, 1.0, -1});
+  EXPECT_EQ(entry_error(dead_chiplet),
+            "fault=1:8:1:-1 names chiplet 8 outside the 2.5D pool of 8 "
+            "chiplets");
+  dead_chiplet.elastic.faults.back().chiplet = 7;
+  EXPECT_EQ(entry_error(dead_chiplet), "");
+  // An unarmed fault (t = inf) schedules nothing, so its chiplet is not
+  // checked.
+  dead_chiplet.elastic.faults.back() = FaultSpec{};
+  dead_chiplet.elastic.faults.back().chiplet = 99;
+  EXPECT_EQ(entry_error(dead_chiplet), "");
 }
 
 }  // namespace

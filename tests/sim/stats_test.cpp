@@ -43,53 +43,6 @@ TEST(RunningStat, SingleSample) {
   EXPECT_DOUBLE_EQ(s.max(), 3.5);
 }
 
-TEST(Histogram, BinsValuesCorrectly) {
-  Histogram h(10.0, 5);
-  h.add(0.0);
-  h.add(9.99);
-  h.add(10.0);
-  h.add(49.9);
-  EXPECT_EQ(h.bin(0), 2u);
-  EXPECT_EQ(h.bin(1), 1u);
-  EXPECT_EQ(h.bin(4), 1u);
-}
-
-TEST(Histogram, OverflowAndUnderflow) {
-  Histogram h(1.0, 2);
-  h.add(-0.5);
-  h.add(5.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 5), std::invalid_argument);
-  EXPECT_THROW(Histogram(1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, QuantileMedianOfUniform) {
-  Histogram h(1.0, 100);
-  for (int i = 0; i < 100; ++i) {
-    h.add(static_cast<double>(i) + 0.5);
-  }
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.99), 99.0, 1.5);
-}
-
-TEST(Histogram, QuantileValidatesRange) {
-  Histogram h(1.0, 10);
-  h.add(1.0);
-  EXPECT_THROW((void)h.quantile(0.0), std::invalid_argument);
-  EXPECT_THROW((void)h.quantile(1.5), std::invalid_argument);
-}
-
-TEST(Histogram, TracksUnderlyingStat) {
-  Histogram h(1.0, 10);
-  h.add(2.0);
-  h.add(4.0);
-  EXPECT_DOUBLE_EQ(h.stat().mean(), 3.0);
-}
-
 TEST(RunningStat, MergeMatchesSequentialAdds) {
   // Welford/Chan parallel-merge must equal one stream of adds.
   RunningStat a;
@@ -203,24 +156,6 @@ TEST(LogHistogram, RejectsBadConstruction) {
   EXPECT_THROW(LogHistogram(0.0, 10.0, 4), std::invalid_argument);
   EXPECT_THROW(LogHistogram(10.0, 10.0, 4), std::invalid_argument);
   EXPECT_THROW(LogHistogram(1.0, 10.0, 0), std::invalid_argument);
-}
-
-TEST(CounterSet, AccumulatesNamedCounters) {
-  CounterSet c;
-  c.add("flits");
-  c.add("flits", 4);
-  c.add("packets");
-  EXPECT_EQ(c.get("flits"), 5u);
-  EXPECT_EQ(c.get("packets"), 1u);
-  EXPECT_EQ(c.get("missing"), 0u);
-}
-
-TEST(CounterSet, ResetClearsAll) {
-  CounterSet c;
-  c.add("x", 10);
-  c.reset();
-  EXPECT_EQ(c.get("x"), 0u);
-  EXPECT_TRUE(c.all().empty());
 }
 
 }  // namespace

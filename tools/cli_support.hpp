@@ -106,28 +106,6 @@ class Logger {
   LogLevel level_;
 };
 
-inline std::optional<double> parse_double(const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(text, &used);
-    if (used != text.size()) {
-      return std::nullopt;
-    }
-    return value;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
-inline std::optional<std::size_t> parse_count(const std::string& text) {
-  const auto value = parse_double(text);
-  if (!value || *value < 0 ||
-      *value != static_cast<double>(static_cast<std::size_t>(*value))) {
-    return std::nullopt;
-  }
-  return static_cast<std::size_t>(*value);
-}
-
 /// Walks argv-style arguments with support for both the `--flag value`
 /// and `--flag=value` spellings.
 class FlagCursor {
@@ -377,120 +355,49 @@ OptionSet::Parse store_choice(T& out, F from_string, std::string what,
   };
 }
 
-/// Comma list of positive integers.
+/// What a numeric flag accepts beyond util::parse_number's spelling.
+enum class Range { kAny, kNonNegative, kPositive };
+
+/// `text` as a T within `range`, or nullopt.
 template <typename T>
-OptionSet::Parse append_counts(std::vector<T>& out, std::string what) {
-  return [&out, what = std::move(what)](
+std::optional<T> parse_in(const std::string& text, Range range) {
+  const auto value = util::parse_number<T>(text);
+  if (!value || (range == Range::kPositive && *value <= T{}) ||
+      (range == Range::kNonNegative && *value < T{})) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// One number in `range` (counts, seeds, seconds); a bad value fails
+/// as "bad <what>: <text>".
+template <typename T>
+OptionSet::Parse store(T& out, std::string what, Range range = Range::kAny) {
+  return [&out, what = std::move(what), range](
              const std::string& text) -> std::optional<std::string> {
-    for (const auto& part : split(text, ',')) {
-      const auto value = parse_count(part);
-      if (!value || *value == 0) {
-        return "bad " + what + ": " + part;
-      }
-      out.push_back(static_cast<T>(*value));
+    const auto value = parse_in<T>(text, range);
+    if (!value) {
+      return "bad " + what + ": " + text;
     }
+    out = *value;
     return std::nullopt;
   };
 }
 
-/// Comma list of non-negative integers (token counts, where 0 is a
-/// meaningful value: e.g. pure-prefill requests with no decode phase).
+/// Comma list of numbers in `range`, appended; a bad element fails as
+/// "bad <what>: <element>".
 template <typename T>
-OptionSet::Parse append_counts_or_zero(std::vector<T>& out,
-                                       std::string what) {
-  return [&out, what = std::move(what)](
+OptionSet::Parse append(std::vector<T>& out, std::string what,
+                        Range range = Range::kAny) {
+  return [&out, what = std::move(what), range](
              const std::string& text) -> std::optional<std::string> {
     for (const auto& part : split(text, ',')) {
-      const auto value = parse_count(part);
+      const auto value = parse_in<T>(part, range);
       if (!value) {
-        return "bad " + what + ": " + part;
-      }
-      out.push_back(static_cast<T>(*value));
-    }
-    return std::nullopt;
-  };
-}
-
-/// Comma list of strictly positive doubles.
-inline OptionSet::Parse append_positive_doubles(std::vector<double>& out,
-                                                std::string what) {
-  return [&out, what = std::move(what)](
-             const std::string& text) -> std::optional<std::string> {
-    for (const auto& part : split(text, ',')) {
-      const auto value = parse_double(part);
-      if (!value || *value <= 0.0) {
         return "bad " + what + ": " + part;
       }
       out.push_back(*value);
     }
-    return std::nullopt;
-  };
-}
-
-/// One positive integer.
-template <typename T>
-OptionSet::Parse store_count(T& out, std::string what) {
-  return [&out, what = std::move(what)](
-             const std::string& text) -> std::optional<std::string> {
-    const auto value = parse_count(text);
-    if (!value || *value == 0) {
-      return "bad " + what + ": " + text;
-    }
-    out = static_cast<T>(*value);
-    return std::nullopt;
-  };
-}
-
-/// One non-negative integer (seeds).
-template <typename T>
-OptionSet::Parse store_count_or_zero(T& out, std::string what) {
-  return [&out, what = std::move(what)](
-             const std::string& text) -> std::optional<std::string> {
-    const auto value = parse_count(text);
-    if (!value) {
-      return "bad " + what + ": " + text;
-    }
-    out = static_cast<T>(*value);
-    return std::nullopt;
-  };
-}
-
-/// One double (any value).
-inline OptionSet::Parse store_double(double& out, std::string what) {
-  return [&out, what = std::move(what)](
-             const std::string& text) -> std::optional<std::string> {
-    const auto value = parse_double(text);
-    if (!value) {
-      return "bad " + what + ": " + text;
-    }
-    out = *value;
-    return std::nullopt;
-  };
-}
-
-/// One strictly positive double.
-inline OptionSet::Parse store_positive_double(double& out, std::string what) {
-  return [&out, what = std::move(what)](
-             const std::string& text) -> std::optional<std::string> {
-    const auto value = parse_double(text);
-    if (!value || *value <= 0.0) {
-      return "bad " + what + ": " + text;
-    }
-    out = *value;
-    return std::nullopt;
-  };
-}
-
-/// One non-negative double.
-inline OptionSet::Parse store_nonnegative_double(double& out,
-                                                 std::string what) {
-  return [&out, what = std::move(what)](
-             const std::string& text) -> std::optional<std::string> {
-    const auto value = parse_double(text);
-    if (!value || *value < 0.0) {
-      return "bad " + what + ": " + text;
-    }
-    out = *value;
     return std::nullopt;
   };
 }
@@ -505,15 +412,14 @@ inline OptionSet::Parse store_string(std::string& out) {
 
 /// Worker-thread count: positive, with the "omit the flag" hint.
 inline OptionSet::Parse store_threads(std::size_t& out) {
-  return [&out](const std::string& text) -> std::optional<std::string> {
-    const auto value = parse_count(text);
-    if (!value || *value == 0) {
-      return "bad thread count: " + text +
-             " (need a positive integer; omit the flag for "
-             "hardware concurrency)";
+  return [parse = store(out, "thread count", Range::kPositive)](
+             const std::string& text) -> std::optional<std::string> {
+    auto error = parse(text);
+    if (error) {
+      *error += " (need a positive integer; omit the flag for hardware "
+                "concurrency)";
     }
-    out = *value;
-    return std::nullopt;
+    return error;
   };
 }
 

@@ -50,7 +50,8 @@ p<i>. prefix.)");
   cli::add_serving_flags(options_set, flags)
       .add("--packages", "LIST",
            "comma list of rack package counts (default 4)",
-           cli::append_counts(flags.grid.package_counts, "package count"))
+           cli::append(flags.grid.package_counts, "package count",
+                       cli::Range::kPositive))
       .add("--balancers", "LIST",
            "comma list of rr|least|locality (default locality)",
            cli::append_choices(flags.grid.balancer_policies,
@@ -59,8 +60,8 @@ p<i>. prefix.)");
       .add("--replication", "LIST",
            "comma list of replicas per tenant, each clamped to\n"
            "the package count (default 1)",
-           cli::append_counts(flags.grid.replication_factors,
-                              "replication factor"))
+           cli::append(flags.grid.replication_factors, "replication factor",
+                       cli::Range::kPositive))
       .add("--replication-mix", "M",
            "'+'-joined per-tenant replication factors aligned\n"
            "with --tenants (e.g. 1+2); overrides --replication",
@@ -68,10 +69,12 @@ p<i>. prefix.)");
       .add("--link-length", "M",
            "board-level link length between packages [m]\n"
            "(default 0.25)",
-           cli::store_positive_double(rack.link_length_m, "link length"))
+           cli::store(rack.link_length_m, "link length",
+                      cli::Range::kPositive))
       .add("--link-wavelengths", "N",
            "WDM channels per inter-package link (default 16)",
-           cli::store_count(rack.link_wavelengths, "link wavelength count"));
+           cli::store(rack.link_wavelengths, "link wavelength count",
+                      cli::Range::kPositive));
   cli::add_log_flags(options_set, flags.log)
       .add_action("--list-models",
                   "print the model registry (name, family, params) and exit",

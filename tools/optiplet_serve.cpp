@@ -64,8 +64,8 @@ counts, utilization, and energy per request.)");
       .add("--think", "S",
            "closed-loop mean exponential think time [s]\n"
            "(default 1e-2)",
-           cli::store_nonnegative_double(flags.grid.serving_defaults.think_s,
-                                         "think time"))
+           cli::store(flags.grid.serving_defaults.think_s, "think time",
+                      cli::Range::kNonNegative))
       .add("--priorities", "LIST",
            "comma list of per-tenant priority classes aligned\n"
            "with --tenants (lower = more important; default\n"

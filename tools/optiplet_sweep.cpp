@@ -22,7 +22,6 @@
 namespace {
 
 using namespace optiplet;
-using cli::parse_double;
 using cli::split;
 
 /// Dump every scenario's per-layer breakdown (computed by the simulator on
@@ -103,11 +102,14 @@ divisible by gateways; SiPh link budget that cannot close) are skipped.)");
                                         "mono, elec, siph, all")(value);
            })
       .add("--batch-sizes", "LIST", "comma list of batch sizes",
-           cli::append_counts(grid.batch_sizes, "batch size"))
+           cli::append(grid.batch_sizes, "batch size",
+                       cli::Range::kPositive))
       .add("--wavelengths", "LIST", "comma list of WDM channel counts",
-           cli::append_counts(grid.wavelengths, "wavelength count"))
+           cli::append(grid.wavelengths, "wavelength count",
+                       cli::Range::kPositive))
       .add("--gateways", "LIST", "comma list of gateways per chiplet",
-           cli::append_counts(grid.gateways_per_chiplet, "gateway count"))
+           cli::append(grid.gateways_per_chiplet, "gateway count",
+                       cli::Range::kPositive))
       .add("--modulations", "LIST", "comma list of ook|pam4",
            cli::append_choices(grid.modulations,
                                engine::modulation_from_string, "modulation",
@@ -125,7 +127,7 @@ divisible by gateways; SiPh link budget that cannot close) are skipped.)");
              std::pair<std::string, std::vector<double>> axis;
              axis.first = value.substr(0, eq);
              for (const auto& text : split(value.substr(eq + 1), ',')) {
-               const auto v = parse_double(text);
+               const auto v = util::parse_number<double>(text);
                if (!v) {
                  return "bad override value for " + axis.first + ": " + text;
                }

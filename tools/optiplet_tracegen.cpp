@@ -49,11 +49,11 @@ seeded non-homogeneous Poisson processes (generated by thinning):
            cli::store_choice(spec.profile, serve::trace_profile_from_string,
                              "profile", "diurnal, bursts, mmpp"))
       .add("--rate", "R", "base rate [requests/s] (default 1000)",
-           cli::store_double(spec.base_rps, "value for --rate"))
+           cli::store(spec.base_rps, "value for --rate"))
       .add("--duration", "S", "trace length [s] (default 1)",
-           cli::store_double(spec.duration_s, "value for --duration"))
+           cli::store(spec.duration_s, "value for --duration"))
       .add("--seed", "S", "generator seed (default 42)",
-           cli::store_count_or_zero(spec.seed, "seed"))
+           cli::store(spec.seed, "seed"))
       .add("--tenants", "NAMES",
            "comma list of tenant labels assigned uniformly at\n"
            "random per event (default: none — unlabeled rows\n"
@@ -72,44 +72,44 @@ seeded non-homogeneous Poisson processes (generated by thinning):
            "per-event prefill/decode token columns for\n"
            "variable-length transformer replay (default 0 =\n"
            "fixed-shape rows, byte-identical legacy schema)",
-           cli::store_count_or_zero(spec.prefill_tokens, "prefill tokens"))
+           cli::store(spec.prefill_tokens, "prefill tokens"))
       .add("--decode-tokens", "N",
            "mean generated length [tokens]; 0 = pure prefill\n"
            "(default 0; requires --prefill-tokens)",
-           cli::store_count_or_zero(spec.decode_tokens, "decode tokens"))
+           cli::store(spec.decode_tokens, "decode tokens"))
       .add("--token-spread", "X",
            "relative half-width of the per-event uniform token\n"
            "draw, in [0,1); 0 = exact means (default 0)",
-           cli::store_nonnegative_double(spec.token_spread, "token spread"))
+           cli::store(spec.token_spread, "token spread",
+                      cli::Range::kNonNegative))
       .add("--out", "FILE", "output CSV path (default trace.csv)",
            cli::store_string(out_path))
       .add_text("\ndiurnal:")
       .add("--period", "S", "sinusoid period [s] (default: the duration)",
-           cli::store_double(spec.period_s, "value for --period"))
+           cli::store(spec.period_s, "value for --period"))
       .add("--amplitude", "A", "relative swing in [0,1] (default 0.8)",
-           cli::store_double(spec.amplitude, "value for --amplitude"))
+           cli::store(spec.amplitude, "value for --amplitude"))
       .add_text("\nbursts:")
       .add("--burst-mult", "M", "in-burst rate multiplier >= 1 (default 8)",
-           cli::store_double(spec.burst_multiplier,
-                             "value for --burst-mult"))
+           cli::store(spec.burst_multiplier, "value for --burst-mult"))
       .add("--burst-gap", "S",
            "mean gap between burst starts [s] (default dur/10)",
-           cli::store_double(spec.burst_gap_s, "value for --burst-gap"))
+           cli::store(spec.burst_gap_s, "value for --burst-gap"))
       .add("--burst-len", "S", "mean burst length [s] (default dur/50)",
-           cli::store_double(spec.burst_len_s, "value for --burst-len"))
+           cli::store(spec.burst_len_s, "value for --burst-len"))
       .add_text("\nmmpp:")
       .add("--on-rate", "R",
            "on-state rate [requests/s] (default 2*rate; 0 is\n"
            "honored: silent on periods)",
-           cli::store_double(spec.on_rps, "value for --on-rate"))
+           cli::store(spec.on_rps, "value for --on-rate"))
       .add("--off-rate", "R",
            "off-state rate [requests/s] (default rate/10; 0 is\n"
            "honored: silent off periods)",
-           cli::store_double(spec.off_rps, "value for --off-rate"))
+           cli::store(spec.off_rps, "value for --off-rate"))
       .add("--on-s", "S", "mean on sojourn [s] (default dur/10)",
-           cli::store_double(spec.on_s, "value for --on-s"))
+           cli::store(spec.on_s, "value for --on-s"))
       .add("--off-s", "S", "mean off sojourn [s] (default dur/10)",
-           cli::store_double(spec.off_s, "value for --off-s"));
+           cli::store(spec.off_s, "value for --off-s"));
   cli::add_log_flags(options_set, log)
       .set_epilog(
           "Value flags also accept the --flag=value spelling.");

@@ -152,7 +152,7 @@ inline OptionSet& add_serving_flags(OptionSet& options, ServingFlags& flags) {
            "comma list of aggregate offered loads [requests/s]\n"
            "(default 200; split evenly over the tenants;\n"
            "open-loop only)",
-           append_positive_doubles(grid.arrival_rates_rps, "arrival rate"))
+           append(grid.arrival_rates_rps, "arrival rate", Range::kPositive))
       .add("--policies", "LIST",
            "comma list of none|size|deadline|cont (default none;\n"
            "cont = continuous batching at token boundaries,\n"
@@ -170,7 +170,7 @@ inline OptionSet& add_serving_flags(OptionSet& options, ServingFlags& flags) {
            "comma list of closed-loop users per tenant\n"
            "(default 16; implies --sources closed when\n"
            "--sources is not given)",
-           append_counts(grid.user_counts, "user count"))
+           append(grid.user_counts, "user count", Range::kPositive))
       .add("--admission", "LIST",
            "comma list of all|shed (default all; shed rejects\n"
            "arrivals whose predicted completion misses the SLA)",
@@ -183,20 +183,21 @@ inline OptionSet& add_serving_flags(OptionSet& options, ServingFlags& flags) {
            "positive value switches transformer tenants to\n"
            "variable-length prefill/decode pricing (default 0 =\n"
            "fixed-shape requests)",
-           append_counts(grid.prefill_token_counts, "prefill tokens"))
+           append(grid.prefill_token_counts, "prefill tokens",
+                  Range::kPositive))
       .add("--decode-tokens", "LIST",
            "comma list of mean generated lengths [tokens]; 0 =\n"
            "pure prefill (default 0; requires --prefill-tokens)",
-           append_counts_or_zero(grid.decode_token_counts, "decode tokens"))
+           append(grid.decode_token_counts, "decode tokens"))
       .add("--token-spread", "X",
            "relative half-width of the per-request uniform\n"
            "token-length draw, in [0,1); 0 = every request uses\n"
            "the mean lengths exactly (default 0)",
-           store_nonnegative_double(defaults.token_spread, "token spread"))
+           store(defaults.token_spread, "token spread", Range::kNonNegative))
       .add("--kv-cache-mb", "MB",
            "per-tenant KV-cache activation budget [MiB]; caps\n"
            "concurrent decode slots (default 256)",
-           store_positive_double(defaults.kv_cache_mb, "KV-cache budget"))
+           store(defaults.kv_cache_mb, "KV-cache budget", Range::kPositive))
       .add("--elastics", "LIST",
            "comma list of elastic-operation policies as\n"
            "'/'-joined k=v codec strings (\"static\",\n"
@@ -215,18 +216,18 @@ inline OptionSet& add_serving_flags(OptionSet& options, ServingFlags& flags) {
            })
       .add("--max-batch", "K",
            "batch bound for size/deadline/cont policies (default 8)",
-           store_count(defaults.max_batch, "max batch"))
+           store(defaults.max_batch, "max batch", Range::kPositive))
       .add("--max-wait", "S",
            "deadline policy: max queue wait [s] (default 1e-3)",
-           store_nonnegative_double(defaults.max_wait_s, "max wait"))
+           store(defaults.max_wait_s, "max wait", Range::kNonNegative))
       .add("--requests", "N", "total arrivals across tenants (default 2000)",
-           store_count(defaults.requests, "request count"))
+           store(defaults.requests, "request count", Range::kPositive))
       .add("--seed", "S", "arrival-process seed (default 42)",
-           store_count_or_zero(defaults.seed, "seed"))
+           store(defaults.seed, "seed"))
       .add("--sla", "S",
            "latency SLA [s]; 0 derives 10x the batch-1 service\n"
            "time per tenant (default 0)",
-           store_nonnegative_double(defaults.sla_s, "SLA"))
+           store(defaults.sla_s, "SLA", Range::kNonNegative))
       .add("--trace", "FILE",
            "replay a CSV arrival trace (arrival_s[,tenant])\n"
            "instead of Poisson arrivals (see optiplet_tracegen)",
@@ -255,7 +256,8 @@ inline OptionSet& add_serving_flags(OptionSet& options, ServingFlags& flags) {
       .add("--snapshot-period", "S",
            "sim-time between metric snapshots [s] (default:\n"
            "~64 snapshots across the arrival span)",
-           store_positive_double(flags.snapshot_period_s, "snapshot period"));
+           store(flags.snapshot_period_s, "snapshot period",
+                 Range::kPositive));
 }
 
 /// Re-run one scenario (the grid's first) with a recorder attached and
