@@ -17,12 +17,15 @@
 #include "dnn/zoo.hpp"
 #include "engine/thread_pool.hpp"
 #include "obs/recorder.hpp"
+#include "photonics/microring.hpp"
+#include "photonics/wavelength.hpp"
 #include "serve/arrivals.hpp"
 #include "serve/elastic.hpp"
 #include "serve/service_time.hpp"
 #include "serve/serving_simulator.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
+#include "util/table.hpp"
 
 namespace optiplet::cluster {
 
@@ -32,6 +35,41 @@ namespace {
 /// think-time streams are independent while replica 0 keeps the exact
 /// single-package stream (N=1 degeneracy).
 constexpr std::uint64_t kReplicaSeedStride = 7919;
+
+/// The rack's board link, refused when its budget cannot close: its WDM
+/// row must fit one ring FSR, and its loss plus crosstalk must stay
+/// within what the worst-case reader tolerates (PackageLink::feasible).
+PackageLink board_link(const ClusterSpec& spec,
+                       const core::SystemConfig& system) {
+  const auto refuse = [&spec](const std::string& why) {
+    return std::invalid_argument(
+        "board link of link_length_m " +
+        util::format_general(spec.link_length_m) + " and link_wavelengths " +
+        std::to_string(spec.link_wavelengths) + ": " + why);
+  };
+  // A row wider than the FSR of a ring at the grid centre is wider than
+  // the FSR of its own lower channels too. Screening it first keeps a
+  // grid of thousands of channels, which would run below zero
+  // wavelength, from being built at all.
+  const photonics::WdmGrid centre = photonics::make_cband_grid(1);
+  const photonics::MicroringResonator ring(system.tech.photonic.ring,
+                                           system.tech.photonic.tuning,
+                                           centre.wavelength_m(0));
+  if (static_cast<double>(spec.link_wavelengths) *
+          centre.channel_spacing_m() >=
+      ring.fsr_m()) {
+    throw refuse("its WDM row is wider than one ring FSR");
+  }
+  PackageLink link =
+      make_package_link(spec, system.photonic, system.tech.photonic);
+  if (!link.feasible()) {
+    throw refuse("its link budget cannot close (" +
+                 util::format_general(link.budget().total_loss_db() +
+                                      link.crosstalk_penalty_db()) +
+                 " dB of loss and crosstalk)");
+  }
+  return link;
+}
 
 /// Per-tenant solo batch-1 service times — the balancer's expected-work
 /// weights — computed through the exact partition + oracle path the
@@ -203,8 +241,7 @@ ClusterReport simulate(const ClusterConfig& config) {
   Placement placement = place_tenants(spec, config.system, config.arch,
                                       models, std::vector<double>(n, 1.0));
 
-  const PackageLink link = make_package_link(spec, config.system.photonic,
-                                             config.system.tech.photonic);
+  const PackageLink link = board_link(spec, config.system);
   // Payload of one request/response crossing a link: the model's first
   // layer consumes the request tensor, the last layer emits the response.
   std::vector<LinkPrice> prices(n);

@@ -97,6 +97,8 @@ struct ClusterConfig {
 };
 
 /// Run the rack to completion (every package drains its dispatched load).
+/// Throws std::invalid_argument naming link_length_m and link_wavelengths
+/// when the board link's budget cannot close (PackageLink::feasible).
 [[nodiscard]] ClusterReport simulate(const ClusterConfig& config);
 
 }  // namespace optiplet::cluster

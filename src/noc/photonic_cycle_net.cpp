@@ -106,12 +106,6 @@ PhotonicCycleNet::PhotonicCycleNet(const PhotonicCycleNetConfig& config,
       controller_(config_.resipi, config_.chiplet_count,
                   config_.interposer.gateways_per_chiplet,
                   interposer_.gateway_bandwidth_bps(), tech.pcm),
-      engine_(config_.interposer.gateway_clock_hz),
-      broadcast_component_(*this, &PhotonicCycleNet::evaluate_broadcast,
-                           &PhotonicCycleNet::commit_broadcast),
-      return_component_(*this, &PhotonicCycleNet::evaluate_returns,
-                        &PhotonicCycleNet::commit_returns),
-      epoch_component_(*this, nullptr, &PhotonicCycleNet::commit_epoch),
       chiplets_(config_.chiplet_count),
       staged_in_use_(config_.chiplet_count, 0) {
   const double clock = config_.interposer.gateway_clock_hz;
@@ -130,10 +124,6 @@ PhotonicCycleNet::PhotonicCycleNet(const PhotonicCycleNetConfig& config,
       1, cycles_for(config_.resipi.epoch_s, clock));
   pcm_write_cycles_ = cycles_for(tech.pcm.write_time_s, clock);
   free_channels_ = config_.interposer.total_wavelengths;
-
-  engine_.register_component(broadcast_component_);
-  engine_.register_component(return_component_);
-  engine_.register_component(epoch_component_);
 
   controller_.set_recorder(config_.recorder);
   if (config_.recorder != nullptr && config_.recorder->tracing()) {
@@ -400,7 +390,11 @@ void PhotonicCycleNet::run_epoch_boundary(std::uint64_t boundary_cycle) {
 // ---- driving ---------------------------------------------------------------
 
 void PhotonicCycleNet::step() {
-  engine_.step();
+  evaluate_broadcast();
+  evaluate_returns();
+  commit_broadcast();
+  commit_returns();
+  commit_epoch();
   ++now_;
 }
 

@@ -1,8 +1,8 @@
 #pragma once
 /// \file photonic_cycle_net.hpp
-/// Cycle-accurate photonic interposer network (paper §V, Fig. 6) on the
-/// two-phase sim::CycleEngine — the high-fidelity counterpart of the
-/// closed-form PhotonicInterposer transaction model.
+/// Cycle-accurate photonic interposer network (paper §V, Fig. 6), stepped
+/// one gateway clock cycle at a time — the high-fidelity counterpart of
+/// the closed-form PhotonicInterposer transaction model.
 ///
 /// What the analytical model cannot see, this one simulates per gateway
 /// clock cycle:
@@ -23,10 +23,12 @@
 ///     take effect at the epoch commit and stall the affected chiplet's
 ///     gateways for the PCM write latency (the reconfiguration transient).
 ///
-/// Determinism: no randomness, fixed iteration orders, and the two-phase
-/// evaluate/commit contract — results are bit-identical for any component
-/// registration order and across SweepRunner thread counts.
-/// run_until_drained() and advance_idle() skip the cycles between
+/// Each cycle runs in two phases: every evaluate reads the state the last
+/// cycle committed and stages its changes, then every commit applies them,
+/// so the broadcast, return and epoch logic never see each other's
+/// same-cycle writes. Determinism: no randomness and fixed iteration
+/// orders — results are bit-identical across runs and SweepRunner thread
+/// counts. run_until_drained() and advance_idle() skip the cycles between
 /// decisions in one jump and stay bit-identical to per-cycle step().
 
 #include <cstdint>
@@ -35,7 +37,6 @@
 #include "noc/photonic_interposer.hpp"
 #include "noc/resipi_controller.hpp"
 #include "power/tech_params.hpp"
-#include "sim/cycle_engine.hpp"
 #include "sim/stats.hpp"
 
 namespace optiplet::noc {
@@ -98,8 +99,8 @@ class PhotonicCycleNet {
 
   // ---- simulation ----
 
-  /// Advance one gateway clock cycle (both engine phases). Always exactly
-  /// one cycle: the reference run_until_drained() and advance_idle() are
+  /// Advance one gateway clock cycle (both phases). Always exactly one
+  /// cycle: the reference run_until_drained() and advance_idle() are
   /// tested against.
   void step();
 
@@ -201,8 +202,8 @@ class PhotonicCycleNet {
     std::uint64_t epoch_demand_bits = 0;
   };
 
-  /// Phase hooks for the three engine components. The net is the single
-  /// owner of all state; the component objects only dispatch into it.
+  /// The phases step() runs each cycle: the evaluates stage, the commits
+  /// apply.
   void evaluate_broadcast();
   void commit_broadcast();
   void evaluate_returns();
@@ -225,32 +226,9 @@ class PhotonicCycleNet {
   void retire(std::uint64_t id, bool is_write, std::uint64_t inject_cycle,
               std::uint64_t bits);
 
-  /// Adapter binding one evaluate/commit pair to the engine.
-  class Component : public sim::CycleComponent {
-   public:
-    using Hook = void (PhotonicCycleNet::*)();
-    Component(PhotonicCycleNet& net, Hook evaluate, Hook commit)
-        : net_(net), evaluate_(evaluate), commit_(commit) {}
-    void evaluate(std::uint64_t) override {
-      if (evaluate_ != nullptr) (net_.*evaluate_)();
-    }
-    void commit(std::uint64_t) override {
-      if (commit_ != nullptr) (net_.*commit_)();
-    }
-
-   private:
-    PhotonicCycleNet& net_;
-    Hook evaluate_;
-    Hook commit_;
-  };
-
   PhotonicCycleNetConfig config_;
   PhotonicInterposer interposer_;
   ResipiController controller_;
-  sim::CycleEngine engine_;
-  Component broadcast_component_;
-  Component return_component_;
-  Component epoch_component_;
 
   // Derived timing constants (gateway clock domain).
   double bits_per_cycle_per_channel_ = 0.0;
@@ -259,9 +237,7 @@ class PhotonicCycleNet {
   std::uint64_t epoch_cycles_ = 0;
   std::uint64_t pcm_write_cycles_ = 0;
 
-  /// The authoritative clock: engine cycles plus fast-forward jumps. All
-  /// transfer timing uses this so the jumps keep epochs and latencies
-  /// aligned (engine_.cycle() lags it after a jump).
+  /// The clock: stepped cycles plus fast-forward jumps.
   std::uint64_t now_ = 0;
   std::uint64_t next_id_ = 1;
   std::size_t free_channels_ = 0;

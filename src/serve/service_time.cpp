@@ -13,10 +13,6 @@ ServiceTimeOracle::ServiceTimeOracle(std::vector<Tenant> tenants,
 }
 
 LayerSchedule ServiceTimeOracle::build_schedule(const core::RunResult& run) {
-  LayerSchedule schedule;
-  schedule.total_latency_s = run.latency_s;
-  schedule.total_energy_j = run.energy_j;
-
   double layer_sum = 0.0;
   for (const auto& lr : run.layers) {
     layer_sum += lr.total_s;
@@ -28,32 +24,21 @@ LayerSchedule ServiceTimeOracle::build_schedule(const core::RunResult& run) {
   OPTIPLET_REQUIRE(!run.layers.empty() && layer_sum > 0.0,
                    "layer schedule needs a per-layer breakdown: " +
                        run.model_name);
-  for (const auto& lr : run.layers) {
-    LayerSegment segment;
-    segment.layer_index = lr.layer_index;
-    segment.group = lr.group;
-    segment.latency_s = lr.total_s;
-    // Energy is apportioned by layer time; any run-level residual (e.g.
-    // the monolithic die's I/O epilogue) lands in the last stage via the
-    // end-offset pin below.
-    segment.energy_j = run.energy_j * (lr.total_s / layer_sum);
-    schedule.layers.push_back(segment);
-  }
 
   // Stages: maximal runs of consecutive layers on one chiplet group.
-  for (std::size_t i = 0; i < schedule.layers.size(); ++i) {
-    const LayerSegment& segment = schedule.layers[i];
+  LayerSchedule schedule;
+  for (std::size_t i = 0; i < run.layers.size(); ++i) {
+    const core::LayerResult& layer = run.layers[i];
     if (schedule.stages.empty() ||
-        schedule.stages.back().group != segment.group) {
+        schedule.stages.back().group != layer.group) {
       PipelineStage stage;
-      stage.group = segment.group;
+      stage.group = layer.group;
       stage.first_layer = i;
       schedule.stages.push_back(stage);
     }
     PipelineStage& stage = schedule.stages.back();
     stage.layer_count += 1;
-    stage.latency_s += segment.latency_s;
-    stage.energy_j += segment.energy_j;
+    stage.latency_s += layer.total_s;
   }
   double offset = 0.0;
   for (PipelineStage& stage : schedule.stages) {

@@ -16,9 +16,9 @@
 /// trades latency for.
 ///
 /// Besides the whole-batch RunResult, the oracle exposes the run's
-/// per-layer decomposition as a LayerSchedule: per-layer latency/energy
-/// segments plus the merged per-group pipeline stages the layer-granular
-/// serving engine executes (SET-style inter-layer pipelining).
+/// per-layer breakdown grouped into a LayerSchedule: the per-group
+/// pipeline stages the layer-granular serving engine executes (SET-style
+/// inter-layer pipelining).
 
 #include <cstdint>
 #include <map>
@@ -34,24 +34,14 @@
 
 namespace optiplet::serve {
 
-/// One layer of a batch's per-layer service schedule.
-struct LayerSegment {
-  std::size_t layer_index = 0;  ///< index into Model::layers()
-  accel::MacKind group = accel::MacKind::kConv3;
-  double latency_s = 0.0;
-  /// The batch's energy apportioned by layer time (sums to the run total).
-  double energy_j = 0.0;
-};
-
 /// A maximal run of consecutive layers on one chiplet group — the stage
 /// granularity at which the layer-granular serving engine acquires and
 /// releases resources.
 struct PipelineStage {
   accel::MacKind group = accel::MacKind::kConv3;
-  std::size_t first_layer = 0;  ///< index into LayerSchedule::layers
+  std::size_t first_layer = 0;  ///< index into core::RunResult::layers
   std::size_t layer_count = 0;
   double latency_s = 0.0;  ///< sum of the member layers
-  double energy_j = 0.0;
   /// Prefix offsets within the batch. start_offset_s of stage k is exactly
   /// end_offset_s of stage k-1, and the last stage's end_offset_s is
   /// exactly the batch run's latency_s, so an unstalled stage chain
@@ -60,13 +50,10 @@ struct PipelineStage {
   double end_offset_s = 0.0;
 };
 
-/// Per-layer decomposition of one (tenant, batch) service time, derived
-/// from the full-system run's per-layer breakdown at either fidelity.
+/// The pipeline stages of one (tenant, batch) service time, grouped from
+/// the full-system run's per-layer breakdown at either fidelity.
 struct LayerSchedule {
-  std::vector<LayerSegment> layers;
   std::vector<PipelineStage> stages;
-  double total_latency_s = 0.0;  ///< == batch_run(...).latency_s exactly
-  double total_energy_j = 0.0;   ///< == batch_run(...).energy_j
 };
 
 class ServiceTimeOracle {

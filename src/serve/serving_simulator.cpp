@@ -27,6 +27,9 @@ namespace {
 
 constexpr std::size_t kNoTenant = static_cast<std::size_t>(-1);
 
+/// Most buckets a day curve may grow to.
+constexpr std::size_t kMaxCurveBuckets = std::size_t{1} << 22;
+
 /// Index of an entry in a SlotPool.
 using Slot = std::uint32_t;
 constexpr Slot kNoSlot = static_cast<Slot>(-1);
@@ -720,7 +723,7 @@ struct Engine {
     }
     const auto idx =
         static_cast<std::size_t>(std::max(t, 0.0) / bucket_s);
-    OPTIPLET_REQUIRE(idx < (std::size_t{1} << 22),
+    OPTIPLET_REQUIRE(idx < kMaxCurveBuckets,
                      "day-curve bucket index exploded (curve_bucket_s is "
                      "too small for the trace span)");
     if (report.day_curve.size() <= idx) {
@@ -1863,6 +1866,121 @@ std::uint64_t worst_case_tokens(const TenantSetup& setup) {
   return worst_of(setup.prefill_tokens) + worst_of(setup.decode_tokens);
 }
 
+/// The serving rules a config must pass before it runs, each refused as a
+/// std::invalid_argument naming the field and its value.
+/// make_serving_config applies them where a spec enters; simulate()
+/// applies them again to configs built by hand. `trace_path` names the
+/// trace replayed token columns came from (empty when unknown).
+void check_serving_rules(const ServingConfig& config,
+                         const std::string& trace_path) {
+  const ElasticSpec& elastic = config.elastic;
+  // A chiplet fault needs a chiplet of the 2.5D pool to kill.
+  std::size_t pool = 0;
+  if (config.arch != accel::Architecture::kMonolithicCrossLight) {
+    for (const accel::ChipletGroup& group : config.system.compute_2p5d.groups) {
+      pool += group.chiplet_count;
+    }
+  }
+  // Re-partitioning and faults need batch-granular dispatch: the
+  // layer-granular resource table and stage chains are built once and
+  // cannot follow a mid-run ownership change. `pool_change` names the
+  // first policy field that asks for one.
+  std::string pool_change;
+  if (elastic.repartitioning()) {
+    pool_change = "shift=" + util::format_general(elastic.shift_threshold);
+  }
+  for (const FaultSpec& fault : elastic.faults) {
+    if (!fault.armed()) {
+      continue;
+    }
+    if (fault.chiplet >= static_cast<int>(pool)) {
+      throw std::invalid_argument(
+          to_string(fault) + " names chiplet " +
+          std::to_string(fault.chiplet) + " outside the 2.5D pool of " +
+          std::to_string(pool) + " chiplets");
+    }
+    if (pool_change.empty()) {
+      pool_change = to_string(fault);
+    }
+  }
+  if (!pool_change.empty() &&
+      config.pipeline == PipelineMode::kLayerGranular) {
+    throw std::invalid_argument(
+        pool_change +
+        " needs pipeline batch, not layer: layer-granular stage chains "
+        "cannot follow a mid-run re-partition or fault");
+  }
+  if (elastic.repartitioning() &&
+      config.arch == accel::Architecture::kMonolithicCrossLight) {
+    throw std::invalid_argument(
+        pool_change + " re-partitions the 2.5D chiplet pool, which the "
+                      "monolithic architecture does not have");
+  }
+
+  const std::string trace =
+      trace_path.empty() ? "the replayed trace" : "trace " + trace_path;
+  for (const TenantSetup& tenant : config.tenants) {
+    if (!has_token_geometry(tenant)) {
+      if (tenant.decode_tokens > 0) {
+        throw std::invalid_argument(
+            "decode_tokens " + std::to_string(tenant.decode_tokens) +
+            " without prefill_tokens on " + tenant.model +
+            " (decode needs a prompt)");
+      }
+      if (tenant.batching.policy == BatchPolicy::kContinuous) {
+        throw std::invalid_argument(
+            "policy cont on fixed-shape model " + tenant.model +
+            " (continuous batching needs prefill_tokens > 0)");
+      }
+      continue;
+    }
+    const std::optional<dnn::TransformerSpec>& transformer =
+        dnn::ModelRegistry::instance().at(tenant.model).transformer;
+    if (!transformer) {
+      throw std::invalid_argument(
+          (tenant.prefill_tokens > 0
+               ? "prefill_tokens " + std::to_string(tenant.prefill_tokens)
+               : "the token columns of " + trace) +
+          " on fixed-shape model " + tenant.model +
+          " (token geometry needs a transformer)");
+    }
+    if (!(tenant.token_spread >= 0.0 && tenant.token_spread < 1.0)) {
+      throw std::invalid_argument(
+          "token_spread " + util::format_general(tenant.token_spread) +
+          " on " + tenant.model + " is outside [0, 1)");
+    }
+    const std::uint64_t worst = worst_case_tokens(tenant);
+    if (worst > transformer->max_context) {
+      throw std::invalid_argument(
+          (tenant.trace_shapes.empty()
+               ? "prefill_tokens " + std::to_string(tenant.prefill_tokens) +
+                     ", decode_tokens " +
+                     std::to_string(tenant.decode_tokens) +
+                     " and token_spread " +
+                     util::format_general(tenant.token_spread) + " make"
+               : trace + " has") +
+          " a request of " + std::to_string(worst) +
+          " tokens, over the max_context " +
+          std::to_string(transformer->max_context) + " of " + tenant.model);
+    }
+    // The KV budget must hold at least one worst-case request.
+    const std::uint64_t request_bytes =
+        dnn::kv_bytes_per_token(*transformer, config.system.parameter_bits) *
+        worst;
+    if (!(tenant.kv_cache_mb > 0.0) ||
+        static_cast<std::uint64_t>(tenant.kv_cache_mb * 1024.0 * 1024.0) <
+            std::max<std::uint64_t>(request_bytes, 1)) {
+      throw std::invalid_argument(
+          "kv_cache_mb " + util::format_general(tenant.kv_cache_mb) +
+          " cannot hold one worst-case request of " + std::to_string(worst) +
+          " tokens on " + tenant.model + ", which needs " +
+          util::format_general(static_cast<double>(request_bytes) /
+                               (1024.0 * 1024.0)) +
+          " MiB");
+    }
+  }
+}
+
 void finalize_tenant(TenantState& ts, double makespan_s) {
   TenantReport& r = ts.report;
   r.energy_j += ts.energy_accum_j;  // the still-open busy period's fold
@@ -1944,29 +2062,13 @@ ServingReport simulate(const ServingConfig& config) {
                    "carbon proxy needs base >= 0, amplitude in [0, 1], "
                    "period > 0");
   bool pool_elastic = elastic.repartitioning();
-  bool any_armed = false;
   for (const FaultSpec& fault : elastic.faults) {
     OPTIPLET_REQUIRE(
         fault.bandwidth_derate > 0.0 && fault.bandwidth_derate <= 1.0,
         "fault bandwidth_derate must be in (0, 1]");
-    if (fault.armed()) {
-      any_armed = true;
-      if (fault.chiplet >= 0) {
-        pool_elastic = true;
-      }
-    }
+    pool_elastic = pool_elastic || (fault.armed() && fault.chiplet >= 0);
   }
-  // Re-partitioning and faults need batch-granular dispatch: the
-  // layer-granular resource table and stage chains are built once and
-  // cannot follow a mid-run ownership change.
-  OPTIPLET_REQUIRE(
-      (!pool_elastic && !any_armed) ||
-          config.pipeline == PipelineMode::kBatchGranular,
-      "elastic re-partitioning and fault injection require batch-granular "
-      "pipeline mode");
-  OPTIPLET_REQUIRE(!pool_elastic ||
-                       config.arch != accel::Architecture::kMonolithicCrossLight,
-                   "elastic re-partitioning needs the 2.5D chiplet pool");
+  check_serving_rules(config, "");
 
   std::vector<std::string> model_names;
   for (const auto& setup : config.tenants) {
@@ -2008,13 +2110,6 @@ ServingReport simulate(const ServingConfig& config) {
     std::uint64_t kv_per_token = 0;
     std::uint64_t kv_budget = 0;
     if (var) {
-      OPTIPLET_REQUIRE(tspec.has_value(),
-                       "token geometry on a fixed-shape model: " +
-                           setup.model);
-      OPTIPLET_REQUIRE(
-          setup.token_spread >= 0.0 && setup.token_spread < 1.0,
-          "token_spread must be in [0, 1)");
-      OPTIPLET_REQUIRE(setup.kv_cache_mb > 0.0, "kv_cache_mb must be > 0");
       OPTIPLET_REQUIRE(
           setup.trace_shapes.empty() ||
               setup.trace_shapes.size() == setup.trace_arrivals.size(),
@@ -2032,34 +2127,20 @@ ServingReport simulate(const ServingConfig& config) {
         decode_mean = static_cast<std::uint32_t>(
             std::lround(static_cast<double>(decode_sum) / n_shapes));
       }
-      // The worst case must fit the model's context window, and it sizes
-      // the KV reservation that caps concurrent decode slots.
+      // The worst case sizes the KV reservation that caps concurrent
+      // decode slots (check_serving_rules guarantees at least one).
       const std::uint64_t worst_total = worst_case_tokens(setup);
-      OPTIPLET_REQUIRE(
-          worst_total <= tspec->max_context,
-          "request tokens exceed the model's max_context: " + setup.model);
       kv_per_token =
           dnn::kv_bytes_per_token(*tspec, config.system.parameter_bits);
       kv_budget = static_cast<std::uint64_t>(setup.kv_cache_mb * 1024.0 *
                                              1024.0);
       const std::uint64_t slots =
           kv_budget / std::max<std::uint64_t>(kv_per_token * worst_total, 1);
-      OPTIPLET_REQUIRE(slots >= 1,
-                       "kv_cache_mb cannot hold one worst-case request: " +
-                           setup.model);
       // The KV budget caps concurrent sequences for every policy: static
       // batches clamp their size, continuous batching clamps its slot
       // count (and re-tests the fit per admitted request).
       batching.max_batch = static_cast<unsigned>(std::min<std::uint64_t>(
           batching.max_batch, slots));
-    } else {
-      OPTIPLET_REQUIRE(setup.decode_tokens == 0,
-                       "decode_tokens without prefill_tokens: " +
-                           setup.model);
-      OPTIPLET_REQUIRE(
-          batching.policy != BatchPolicy::kContinuous,
-          "kContinuous needs token geometry (prefill_tokens > 0): " +
-              setup.model);
     }
     TenantState state(batching);
     state.closed_loop = setup.source == ArrivalSource::kClosedLoop;
@@ -2117,6 +2198,25 @@ ServingReport simulate(const ServingConfig& config) {
                                : 10.0 * oracle.batch_run(t, 1).latency_s;
     }
     engine.tenants.push_back(std::move(state));
+  }
+  // The day curve indexes its buckets from t = 0, so a bucket too narrow
+  // for the open-loop arrivals would outgrow the curve mid-run. Closed
+  // loops learn their span only while running; curve_bucket() guards
+  // them.
+  const double bucket_s = elastic.curve_bucket_s;
+  double last_arrival_s = 0.0;
+  for (const TenantState& ts : engine.tenants) {
+    if (!ts.arrivals.empty()) {
+      last_arrival_s = std::max(last_arrival_s, ts.arrivals.back());
+    }
+  }
+  if (bucket_s > 0.0 &&
+      last_arrival_s / bucket_s >= static_cast<double>(kMaxCurveBuckets)) {
+    throw std::invalid_argument(
+        "bucket=" + util::format_general(bucket_s) +
+        " is too narrow for the arrivals from 0 to " +
+        util::format_general(last_arrival_s) + " s: the day curve holds " +
+        std::to_string(kMaxCurveBuckets) + " buckets");
   }
   // The exclusive chiplet-group resource table: the shared-serial pool
   // first, then (layer-granular mode) every tenant's owned groups.
@@ -2241,9 +2341,6 @@ ServingReport simulate(const ServingConfig& config) {
     if (!fault.armed()) {
       continue;  // t = inf (or a no-op spec) schedules nothing: inert.
     }
-    OPTIPLET_REQUIRE(
-        fault.chiplet < static_cast<int>(plan.chiplet_active_power_w.size()),
-        "fault chiplet id out of the pool");
     engine.events.schedule_at(
         fault.time_s,
         make_event(EventKind::kFault, 0, static_cast<Slot>(f)));
@@ -2430,22 +2527,6 @@ ServingConfig make_serving_config(const core::SystemConfig& base,
   const auto n = mix.size();
   const std::vector<unsigned> priorities = spec.priorities();
 
-  // A chiplet fault needs a chiplet of the 2.5D pool to kill.
-  std::size_t pool = 0;
-  if (arch != accel::Architecture::kMonolithicCrossLight) {
-    for (const accel::ChipletGroup& group : base.compute_2p5d.groups) {
-      pool += group.chiplet_count;
-    }
-  }
-  for (const FaultSpec& fault : spec.elastic.faults) {
-    if (fault.armed() && fault.chiplet >= static_cast<int>(pool)) {
-      throw std::invalid_argument(
-          to_string(fault) + " names chiplet " +
-          std::to_string(fault.chiplet) + " outside the 2.5D pool of " +
-          std::to_string(pool) + " chiplets");
-    }
-  }
-
   OPTIPLET_REQUIRE(spec.source != ArrivalSource::kClosedLoop ||
                        spec.trace_path.empty(),
                    "closed-loop arrivals cannot replay a trace");
@@ -2490,36 +2571,7 @@ ServingConfig make_serving_config(const core::SystemConfig& base,
     }
     config.tenants.push_back(std::move(tenant));
   }
-  // Token geometry needs a transformer whose context window holds the
-  // worst-case request.
-  for (const TenantSetup& tenant : config.tenants) {
-    if (!has_token_geometry(tenant)) {
-      continue;
-    }
-    const std::optional<dnn::TransformerSpec>& transformer =
-        dnn::ModelRegistry::instance().at(tenant.model).transformer;
-    if (!transformer) {
-      throw std::invalid_argument(
-          (spec.prefill_tokens > 0
-               ? "prefill_tokens " + std::to_string(spec.prefill_tokens)
-               : "the token columns of trace " + spec.trace_path) +
-          " on fixed-shape model " + tenant.model +
-          " (token geometry needs a transformer)");
-    }
-    const std::uint64_t worst = worst_case_tokens(tenant);
-    if (worst > transformer->max_context) {
-      throw std::invalid_argument(
-          (tenant.trace_shapes.empty()
-               ? "prefill_tokens " + std::to_string(spec.prefill_tokens) +
-                     ", decode_tokens " + std::to_string(spec.decode_tokens) +
-                     " and token_spread " +
-                     util::format_general(spec.token_spread) + " make"
-               : "trace " + spec.trace_path + " has") +
-          " a request of " + std::to_string(worst) +
-          " tokens, over the max_context " +
-          std::to_string(transformer->max_context) + " of " + tenant.model);
-    }
-  }
+  check_serving_rules(config, spec.trace_path);
   if (!spec.trace_path.empty()) {
     // A trace that feeds nobody is a labeling mistake (e.g. rows labeled
     // "LeNet5" against the duplicate-mix names "LeNet5#0"/"LeNet5#1"):

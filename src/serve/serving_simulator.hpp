@@ -183,12 +183,18 @@ struct ColocatedSetup {
     const std::vector<std::string>& model_names);
 
 /// Run one serving simulation to completion (all arrivals served).
+/// Applies make_serving_config's rules again, and throws
+/// std::invalid_argument for an elastic `bucket=` too narrow for the
+/// open-loop arrivals.
 [[nodiscard]] ServingReport simulate(const ServingConfig& config);
 
 /// Resolve a sweepable ServingSpec against a base system configuration:
 /// tenants from the mix (equal load/request split, per-tenant seeds
 /// seed+i), the spec's batching policy on every tenant, and the trace
-/// loaded/partitioned when `trace_path` is set.
+/// loaded/partitioned when `trace_path` is set. Throws
+/// std::invalid_argument naming the field and its value for a spec
+/// serving cannot run (token geometry, KV budget, batch policy, elastic
+/// faults and re-partitioning against the pipeline mode and the pool).
 [[nodiscard]] ServingConfig make_serving_config(
     const core::SystemConfig& base, accel::Architecture arch,
     const ServingSpec& spec);

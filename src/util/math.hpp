@@ -1,14 +1,9 @@
 #pragma once
 /// \file math.hpp
 /// Small numeric helpers shared across modules: dB/dBm conversions,
-/// interpolation, integer ceil-division, and simple descriptive statistics.
+/// interpolation, and the inverse standard-normal CDF.
 
-#include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <numeric>
-#include <span>
-#include <vector>
 
 #include "util/require.hpp"
 
@@ -23,57 +18,13 @@ inline double to_db(double ratio) {
 /// Convert decibels to a linear power ratio.
 inline double from_db(double db) { return std::pow(10.0, db / 10.0); }
 
-/// Convert absolute power in watts to dBm.
-inline double watts_to_dbm(double watts) {
-  OPTIPLET_REQUIRE(watts > 0.0, "dBm of non-positive power");
-  return 10.0 * std::log10(watts / 1e-3);
-}
-
 /// Convert dBm to absolute power in watts.
 inline double dbm_to_watts(double dbm) {
   return 1e-3 * std::pow(10.0, dbm / 10.0);
 }
 
-/// Integer division rounding up; denominator must be positive.
-template <typename T>
-constexpr T ceil_div(T num, T den) {
-  return (num + den - 1) / den;
-}
-
 /// Linear interpolation between a and b at t in [0,1].
 inline double lerp(double a, double b, double t) { return a + (b - a) * t; }
-
-/// Clamp helper kept for symmetry with lerp (std::clamp needs <algorithm>).
-inline double clamp01(double x) { return x < 0.0 ? 0.0 : (x > 1.0 ? 1.0 : x); }
-
-/// Arithmetic mean of a non-empty range.
-inline double mean(std::span<const double> xs) {
-  OPTIPLET_REQUIRE(!xs.empty(), "mean of empty range");
-  return std::accumulate(xs.begin(), xs.end(), 0.0) /
-         static_cast<double>(xs.size());
-}
-
-/// Geometric mean of a non-empty range of positive values. Used for
-/// normalized cross-model summaries (standard practice for ratios).
-inline double geomean(std::span<const double> xs) {
-  OPTIPLET_REQUIRE(!xs.empty(), "geomean of empty range");
-  double log_sum = 0.0;
-  for (double x : xs) {
-    OPTIPLET_REQUIRE(x > 0.0, "geomean of non-positive value");
-    log_sum += std::log(x);
-  }
-  return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-/// Population standard deviation of a non-empty range.
-inline double stddev(std::span<const double> xs) {
-  const double mu = mean(xs);
-  double acc = 0.0;
-  for (double x : xs) {
-    acc += (x - mu) * (x - mu);
-  }
-  return std::sqrt(acc / static_cast<double>(xs.size()));
-}
 
 /// Inverse standard-normal CDF at p in (0,1) — the z-score such that
 /// Phi(z) = p. Acklam's rational approximation (|relative error| <
@@ -111,12 +62,6 @@ inline double normal_quantile(double p) {
           a[5]) *
          q /
          (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0);
-}
-
-/// True when |a-b| <= tol * max(1,|a|,|b|): scale-aware approximate equality.
-inline bool approx_equal(double a, double b, double tol = 1e-9) {
-  const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  return std::fabs(a - b) <= tol * scale;
 }
 
 }  // namespace optiplet::util

@@ -5,7 +5,8 @@
 /// OPTIPLET_REQUIRE is used at module boundaries to validate arguments and
 /// configuration; violations are programmer errors and throw
 /// std::invalid_argument with a message carrying the failed expression and
-/// location. Internal invariants use OPTIPLET_ASSERT, which aborts.
+/// location. Internal invariants use OPTIPLET_ASSERT, which throws the
+/// same way; the name only marks a failure as a bug inside the library.
 
 #include <sstream>
 #include <stdexcept>
@@ -36,10 +37,5 @@ namespace optiplet::util {
   } while (false)
 
 /// Internal invariant; violations indicate a bug inside the library.
-#define OPTIPLET_ASSERT(expr, msg)                                        \
-  do {                                                                    \
-    if (!(expr)) {                                                        \
-      ::optiplet::util::throw_requirement_failure(#expr, __FILE__,        \
-                                                  __LINE__, (msg));       \
-    }                                                                     \
-  } while (false)
+/// Throws std::invalid_argument exactly like OPTIPLET_REQUIRE.
+#define OPTIPLET_ASSERT(expr, msg) OPTIPLET_REQUIRE(expr, msg)

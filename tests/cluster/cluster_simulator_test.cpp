@@ -259,6 +259,36 @@ TEST(ClusterSimulator, FaultOnAMissingPackageFailsAtTheBoundary) {
   }
 }
 
+TEST(ClusterSimulator, RefusesBoardLinksWhoseBudgetCannotClose) {
+  // A 1 m route loses more than the reader tolerates, and a row of 100000
+  // channels fits no ring FSR (nor a C-band grid): both are refused before
+  // routing, naming the link fields. The 0.75 m and 16-channel links
+  // beside them still close.
+  ClusterConfig config = make_cluster("LeNet5", 1000.0, 40, 2,
+                                      BalancerPolicy::kRoundRobin, 2);
+  const auto error = [&config] {
+    try {
+      (void)simulate(config);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  config.cluster.link_length_m = 1.0;
+  EXPECT_EQ(error(),
+            "board link of link_length_m 1 and link_wavelengths 16: its "
+            "link budget cannot close (45.1128567 dB of loss and "
+            "crosstalk)");
+  config.cluster.link_length_m = 0.75;
+  EXPECT_EQ(error(), "");
+  config.cluster.link_wavelengths = 100000;
+  EXPECT_EQ(error(),
+            "board link of link_length_m 0.75 and link_wavelengths 100000: "
+            "its WDM row is wider than one ring FSR");
+  config.cluster.link_wavelengths = 16;
+  EXPECT_EQ(error(), "");
+}
+
 TEST(ClusterSimulator, ShuffledShapedTraceReplaysOnAMultiPackageRack) {
   // Two TinyGPT copies on three packages, each replicated twice, replay a
   // shuffled trace with token columns and many equal-time rows: the rack

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -229,6 +230,18 @@ TEST(PhotonicCycleNet, GatewayWeightTracksActivation) {
   net.inject_read(0, 16'384);
   ASSERT_TRUE(net.run_until_drained(100'000));
   EXPECT_EQ(net.gateway_cycle_weight(), net.cycle() * 8u * 4u);
+}
+
+TEST(PhotonicCycleNet, RejectsNonPositiveGatewayClock) {
+  // The clock converts cycles to seconds; a zero or negative one is
+  // refused while the net builds its interposer.
+  for (const double clock_hz : {0.0, -1.0}) {
+    PhotonicCycleNetConfig cfg = pinned_config();
+    cfg.interposer.gateway_clock_hz = clock_hz;
+    EXPECT_THROW(PhotonicCycleNet(cfg, power::PhotonicTech{}),
+                 std::invalid_argument)
+        << clock_hz;
+  }
 }
 
 // ---- differential: per-cycle step() vs run_until_drained/advance_idle ----

@@ -114,10 +114,11 @@ TEST(RequestShape, TotalAndVariableLength) {
 }
 
 /// make_serving_config's message for `spec`, or "" when it accepts it.
-std::string entry_error(const ServingSpec& spec) {
+std::string entry_error(
+    const ServingSpec& spec,
+    accel::Architecture arch = accel::Architecture::kSiph2p5D) {
   try {
-    (void)make_serving_config(core::default_system_config(),
-                              accel::Architecture::kSiph2p5D, spec);
+    (void)make_serving_config(core::default_system_config(), arch, spec);
   } catch (const std::invalid_argument& e) {
     return e.what();
   }
@@ -159,6 +160,62 @@ TEST(ServingEntryChecks, NameTheFieldTheyRefuse) {
   dead_chiplet.elastic.faults.back() = FaultSpec{};
   dead_chiplet.elastic.faults.back().chiplet = 99;
   EXPECT_EQ(entry_error(dead_chiplet), "");
+
+  ServingSpec continuous;
+  continuous.tenant_mix = "LeNet5";
+  continuous.policy = BatchPolicy::kContinuous;
+  EXPECT_EQ(entry_error(continuous),
+            "policy cont on fixed-shape model LeNet5 (continuous batching "
+            "needs prefill_tokens > 0)");
+  continuous.policy = BatchPolicy::kDeadline;
+  EXPECT_EQ(entry_error(continuous), "");
+
+  ServingSpec promptless;
+  promptless.tenant_mix = "TinyGPT";
+  promptless.decode_tokens = 8;
+  EXPECT_EQ(entry_error(promptless),
+            "decode_tokens 8 without prefill_tokens on TinyGPT (decode needs "
+            "a prompt)");
+  promptless.prefill_tokens = 1;
+  EXPECT_EQ(entry_error(promptless), "");
+
+  ServingSpec spread;
+  spread.tenant_mix = "TinyGPT";
+  spread.prefill_tokens = 64;
+  spread.token_spread = 1.5;
+  EXPECT_EQ(entry_error(spread),
+            "token_spread 1.5 on TinyGPT is outside [0, 1)");
+  spread.token_spread = 0.99;
+  EXPECT_EQ(entry_error(spread), "");
+
+  ServingSpec pipelined;
+  pipelined.tenant_mix = "LeNet5";
+  pipelined.pipeline = PipelineMode::kLayerGranular;
+  pipelined.elastic.faults.push_back({1.0, 2, 1.0, -1});
+  EXPECT_EQ(entry_error(pipelined),
+            "fault=1:2:1:-1 needs pipeline batch, not layer: layer-granular "
+            "stage chains cannot follow a mid-run re-partition or fault");
+  pipelined.pipeline = PipelineMode::kBatchGranular;
+  EXPECT_EQ(entry_error(pipelined), "");
+
+  ServingSpec monolithic;
+  monolithic.tenant_mix = "LeNet5";
+  monolithic.elastic.shift_threshold = 0.2;
+  EXPECT_EQ(entry_error(monolithic,
+                        accel::Architecture::kMonolithicCrossLight),
+            "shift=0.2 re-partitions the 2.5D chiplet pool, which the "
+            "monolithic architecture does not have");
+  EXPECT_EQ(entry_error(monolithic), "");
+
+  ServingSpec small_cache;
+  small_cache.tenant_mix = "TinyGPT";
+  small_cache.prefill_tokens = 64;
+  small_cache.kv_cache_mb = 0.001;
+  EXPECT_EQ(entry_error(small_cache),
+            "kv_cache_mb 0.001 cannot hold one worst-case request of 64 "
+            "tokens on TinyGPT, which needs 0.5 MiB");
+  small_cache.kv_cache_mb = 0.5;  // exactly one request
+  EXPECT_EQ(entry_error(small_cache), "");
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
-#include <vector>
 
 namespace optiplet::util {
 namespace {
@@ -27,67 +26,21 @@ TEST(MathDb, RejectsNonPositiveRatio) {
 }
 
 TEST(MathDbm, OneMilliwattIsZeroDbm) {
-  EXPECT_NEAR(watts_to_dbm(1e-3), 0.0, 1e-12);
   EXPECT_NEAR(dbm_to_watts(0.0), 1e-3, 1e-15);
 }
 
 TEST(MathDbm, TenDbmIsTenMilliwatt) {
   EXPECT_NEAR(dbm_to_watts(10.0), 10e-3, 1e-12);
-  EXPECT_NEAR(watts_to_dbm(10e-3), 10.0, 1e-9);
 }
 
 TEST(MathDbm, NegativeDbmBelowMilliwatt) {
   EXPECT_NEAR(dbm_to_watts(-26.0), 2.512e-6, 1e-9);
 }
 
-TEST(MathCeilDiv, ExactAndInexact) {
-  EXPECT_EQ(ceil_div(10, 5), 2);
-  EXPECT_EQ(ceil_div(11, 5), 3);
-  EXPECT_EQ(ceil_div(1, 5), 1);
-  EXPECT_EQ(ceil_div(0, 5), 0);
-}
-
 TEST(MathLerp, Endpoints) {
   EXPECT_DOUBLE_EQ(lerp(2.0, 6.0, 0.0), 2.0);
   EXPECT_DOUBLE_EQ(lerp(2.0, 6.0, 1.0), 6.0);
   EXPECT_DOUBLE_EQ(lerp(2.0, 6.0, 0.5), 4.0);
-}
-
-TEST(MathClamp01, ClampsBothSides) {
-  EXPECT_DOUBLE_EQ(clamp01(-0.5), 0.0);
-  EXPECT_DOUBLE_EQ(clamp01(0.25), 0.25);
-  EXPECT_DOUBLE_EQ(clamp01(1.5), 1.0);
-}
-
-TEST(MathMean, SimpleAverage) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(mean(xs), 2.5);
-}
-
-TEST(MathMean, ThrowsOnEmpty) {
-  const std::vector<double> xs;
-  EXPECT_THROW(mean(xs), std::invalid_argument);
-}
-
-TEST(MathGeomean, PowersOfTwo) {
-  const std::vector<double> xs{1.0, 2.0, 4.0, 8.0};
-  EXPECT_NEAR(geomean(xs), 2.8284, 1e-4);
-}
-
-TEST(MathGeomean, RejectsNonPositive) {
-  const std::vector<double> xs{1.0, 0.0};
-  EXPECT_THROW(geomean(xs), std::invalid_argument);
-}
-
-TEST(MathStddev, ConstantSequenceIsZero) {
-  const std::vector<double> xs{3.0, 3.0, 3.0};
-  EXPECT_DOUBLE_EQ(stddev(xs), 0.0);
-}
-
-TEST(MathApproxEqual, ScaleAware) {
-  EXPECT_TRUE(approx_equal(1e12, 1e12 + 1.0, 1e-9));
-  EXPECT_FALSE(approx_equal(1.0, 1.1, 1e-9));
-  EXPECT_TRUE(approx_equal(0.0, 0.0));
 }
 
 }  // namespace
