@@ -15,6 +15,15 @@ ComputeChiplet::ComputeChiplet(const ChipletDesign& design,
                        design.units_per_bus <= design.units,
                    "units per bus must be in [1, units]");
   build_bus_budget();
+  const photonics::Photodetector pd(tech_.photonic.photodetector);
+  // The PD integrates one symbol per dot product; its sensitivity is taken
+  // at the symbol rate, plus the analog-precision penalty (multi-level
+  // amplitudes need a cleaner eye than OOK).
+  const double sensitivity_dbm =
+      pd.sensitivity_dbm(tech_.compute.mac_symbol_rate_hz);
+  laser_power_per_wavelength_w_ = bus_budget_.required_laser_power_w(
+      sensitivity_dbm + tech_.compute.analog_precision_penalty_db,
+      /*crosstalk_penalty_db=*/0.5, tech_.compute.compute_margin_db);
 }
 
 std::uint32_t ComputeChiplet::bus_count() const {
@@ -60,21 +69,8 @@ void ComputeChiplet::build_bus_budget() {
                        ct.weight_bank_insertion_db);
 }
 
-double ComputeChiplet::laser_power_per_wavelength_w() const {
-  const photonics::Photodetector pd(tech_.photonic.photodetector);
-  // The PD integrates one symbol per dot product; its sensitivity is taken
-  // at the symbol rate, plus the analog-precision penalty (multi-level
-  // amplitudes need a cleaner eye than OOK).
-  const double sensitivity_dbm =
-      pd.sensitivity_dbm(tech_.compute.mac_symbol_rate_hz);
-  return bus_budget_.required_laser_power_w(
-      sensitivity_dbm + tech_.compute.analog_precision_penalty_db,
-      /*crosstalk_penalty_db=*/0.5, tech_.compute.compute_margin_db);
-}
-
 double ComputeChiplet::laser_electrical_power_w() const {
-  const double per_wavelength = laser_power_per_wavelength_w();
-  const double optical = per_wavelength *
+  const double optical = laser_power_per_wavelength_w_ *
                          static_cast<double>(unit_.size()) *
                          static_cast<double>(bus_count());
   const auto& laser = tech_.photonic.laser;

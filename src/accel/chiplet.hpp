@@ -61,7 +61,9 @@ class ComputeChiplet {
   }
 
   /// Required laser optical power per wavelength per bus [W].
-  [[nodiscard]] double laser_power_per_wavelength_w() const;
+  [[nodiscard]] double laser_power_per_wavelength_w() const {
+    return laser_power_per_wavelength_w_;
+  }
 
   /// Electrical laser power for the whole chiplet while computing [W]
   /// (all buses, S wavelengths each, wall-plug + TEC).
@@ -89,6 +91,7 @@ class ComputeChiplet {
   power::TechParams tech_;
   PhotonicMacUnit unit_;
   photonics::LinkBudget bus_budget_;
+  double laser_power_per_wavelength_w_ = 0.0;  // solved once from the budget
 };
 
 }  // namespace optiplet::accel

@@ -28,6 +28,38 @@ struct SiphEstimate {
   std::size_t total_active = 0;  ///< across all chiplets
 };
 
+/// A platform group's static compute power, summed over its chiplets [W].
+/// Fixed for a run, so run_2p5d computes it once.
+struct GroupPower {
+  double laser_w = 0.0;
+  double rings_w = 0.0;
+  double electronics_w = 0.0;
+};
+
+/// Compute-side energy of one layer. Compute chiplet lasers cannot be
+/// duty-cycled at layer granularity (settling is orders of magnitude slower
+/// than a layer): every chiplet holds its optical bias, ring trim and
+/// electronics for the whole inference, on all architectures. What ReSiPI
+/// gates dynamically is the interposer network, charged in run_2p5d.
+/// Dynamic (DAC/ADC/buffer) energy follows the work.
+void charge_compute(power::EnergyLedger& ledger,
+                    const accel::Platform& platform,
+                    const std::vector<GroupPower>& group_power,
+                    const accel::LayerAssignment& assignment,
+                    std::uint64_t macs, double layer_s) {
+  for (std::size_t g = 0; g < group_power.size(); ++g) {
+    const GroupPower& power = group_power[g];
+    ledger.charge_power_for("compute.laser", power.laser_w, layer_s);
+    ledger.charge_power_for("compute.rings", power.rings_w, layer_s);
+    ledger.charge_power_for("compute.electronics", power.electronics_w,
+                            layer_s);
+    const accel::ComputeChiplet& chiplet = platform.groups()[g].chiplet;
+    if (chiplet.kind() == assignment.group) {
+      ledger.charge_energy("compute.dynamic", chiplet.dynamic_energy_j(macs));
+    }
+  }
+}
+
 }  // namespace
 
 SystemSimulator::SystemSimulator(const SystemConfig& config)
@@ -67,34 +99,6 @@ RunResult SystemSimulator::run(const dnn::Model& model,
     return run_monolithic(model);
   }
   return run_2p5d(model, arch);
-}
-
-void SystemSimulator::charge_compute(
-    power::EnergyLedger& ledger, const accel::Platform& platform,
-    const accel::LayerAssignment& assignment, std::uint64_t macs,
-    double layer_s) const {
-  // Compute chiplet lasers cannot be duty-cycled at layer granularity
-  // (settling is orders of magnitude slower than a layer): every chiplet
-  // holds its optical bias for the whole inference, on all architectures.
-  // What ReSiPI gates dynamically is the interposer network, charged in
-  // run_2p5d. Dynamic (DAC/ADC/buffer) energy follows the work.
-  for (const auto& group : platform.groups()) {
-    const bool assigned = group.chiplet.kind() == assignment.group;
-    const double chiplets = static_cast<double>(group.chiplet_count);
-    ledger.charge_power_for(
-        "compute.laser",
-        group.chiplet.laser_electrical_power_w() * chiplets, layer_s);
-    ledger.charge_power_for(
-        "compute.rings", group.chiplet.ring_tuning_power_w() * chiplets,
-        layer_s);
-    ledger.charge_power_for(
-        "compute.electronics",
-        group.chiplet.electronics_static_power_w() * chiplets, layer_s);
-    if (assigned) {
-      ledger.charge_energy("compute.dynamic",
-                           group.chiplet.dynamic_energy_j(macs));
-    }
-  }
 }
 
 RunResult SystemSimulator::run_monolithic(const dnn::Model& model) const {
@@ -223,15 +227,29 @@ RunResult SystemSimulator::run_2p5d(const dnn::Model& model,
     net.emplace(net_cfg, config_.tech.photonic);
   }
 
-  // First chiplet index of each group (groups are laid out contiguously).
+  // First chiplet index of each group (groups are laid out contiguously)
+  // and each group's static compute power.
   std::vector<std::size_t> group_first_chiplet;
+  std::vector<GroupPower> group_power;
   {
     std::size_t base = 0;
     for (const auto& g : platform.groups()) {
       group_first_chiplet.push_back(base);
       base += g.chiplet_count;
+      const double chiplets = static_cast<double>(g.chiplet_count);
+      group_power.push_back(
+          {g.chiplet.laser_electrical_power_w() * chiplets,
+           g.chiplet.ring_tuning_power_w() * chiplets,
+           g.chiplet.electronics_static_power_w() * chiplets});
     }
   }
+
+  // Per-chiplet scratch the layer loop refills: the estimator's demand,
+  // a layer's target chiplets and the warm-up demand bits.
+  std::vector<double> demands(chiplet_count);
+  std::vector<std::size_t> targets;
+  targets.reserve(chiplet_count);
+  std::vector<std::uint64_t> demand_bits(chiplet_count);
 
   double gateway_time_weight = 0.0;  // sum over layers of gw_active * t
 
@@ -290,7 +308,7 @@ RunResult SystemSimulator::run_2p5d(const dnn::Model& model,
         static_cast<double>(writes) / chiplets;
     const double demand_bps =
         per_chiplet_bits / std::max(compute_s, config_.resipi.epoch_s);
-    std::vector<double> demands(chiplet_count, 0.0);
+    std::fill(demands.begin(), demands.end(), 0.0);
     for (std::size_t c = 0;
          c < platform.groups()[group_index].chiplet_count; ++c) {
       demands[group_first_chiplet[group_index] + c] = demand_bps;
@@ -382,8 +400,7 @@ RunResult SystemSimulator::run_2p5d(const dnn::Model& model,
       }
       const std::uint64_t cycle0 = net->cycle();
       const std::size_t completed0 = net->completed().size();
-      std::vector<std::size_t> targets;
-      targets.reserve(a.chiplets_used);
+      targets.clear();
       for (std::size_t c = 0; c < a.chiplets_used; ++c) {
         targets.push_back(group_first_chiplet[group_index] + c);
       }
@@ -527,7 +544,7 @@ RunResult SystemSimulator::run_2p5d(const dnn::Model& model,
         // run, so the next sampled window opens at realistic provisioning
         // instead of a stale configuration that would poison the
         // calibration.
-        std::vector<std::uint64_t> demand_bits(chiplet_count, 0);
+        std::fill(demand_bits.begin(), demand_bits.end(), 0);
         const std::uint64_t weight_slice =
             (lw.weight_bits + a.chiplets_used - 1) / a.chiplets_used;
         const std::uint64_t write_slice =
@@ -581,7 +598,8 @@ RunResult SystemSimulator::run_2p5d(const dnn::Model& model,
               config_.electrical.average_hops));
     }
 
-    charge_compute(result.ledger, platform, a, lw.macs, lr.total_s);
+    charge_compute(result.ledger, platform, group_power, a, lw.macs,
+                   lr.total_s);
     result.ledger.charge_energy(
         "memory.hbm_access",
         static_cast<double>(reads + writes) *

@@ -110,14 +110,6 @@ class SystemSimulator {
   /// batch; compute and activations scale with it).
   [[nodiscard]] dnn::Workload batched_workload(const dnn::Model& model) const;
 
-  /// Compute-side energy shared by all architectures: assigned chiplets at
-  /// active power for the layer duration, idle chiplets at the idle
-  /// fraction, plus dynamic MAC energy.
-  void charge_compute(power::EnergyLedger& ledger,
-                      const accel::Platform& platform,
-                      const accel::LayerAssignment& assignment,
-                      std::uint64_t macs, double layer_s) const;
-
   SystemConfig config_;
 };
 

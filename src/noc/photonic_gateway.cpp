@@ -30,7 +30,9 @@ PhotonicGateway::PhotonicGateway(const GatewayConfig& config,
       tech_(tech),
       mrg_(make_mrg_config(config, tech, modulator_rows, filter_rows), grid,
            channel_offset),
-      pd_(tech.photodetector) {
+      pd_(tech.photodetector),
+      active_static_power_w_(mrg_.static_tuning_power_w() +
+                             tech.gateway_static_w) {
   OPTIPLET_REQUIRE(config.wavelength_count >= 1,
                    "gateway needs at least one wavelength");
   OPTIPLET_REQUIRE(config.data_rate_per_wavelength_bps > 0.0,
@@ -70,10 +72,6 @@ double PhotonicGateway::transmit_energy_j(std::uint64_t bits) const {
 double PhotonicGateway::receive_energy_j(std::uint64_t bits) const {
   return pd_.receive_energy_j(bits) +
          static_cast<double>(bits) * tech_.gateway_digital_energy_per_bit_j;
-}
-
-double PhotonicGateway::active_static_power_w() const {
-  return mrg_.static_tuning_power_w() + tech_.gateway_static_w;
 }
 
 }  // namespace optiplet::noc

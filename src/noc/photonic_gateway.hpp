@@ -56,7 +56,9 @@ class PhotonicGateway {
   [[nodiscard]] double receive_energy_j(std::uint64_t bits) const;
 
   /// Static power while the gateway is active [W]: MRG ring tuning + clock.
-  [[nodiscard]] double active_static_power_w() const;
+  [[nodiscard]] double active_static_power_w() const {
+    return active_static_power_w_;
+  }
 
   /// The interposer-side ring bank.
   [[nodiscard]] const photonics::MicroringGroup& mrg() const { return mrg_; }
@@ -68,6 +70,7 @@ class PhotonicGateway {
   power::PhotonicTech tech_;
   photonics::MicroringGroup mrg_;
   photonics::Photodetector pd_;
+  double active_static_power_w_;
 };
 
 }  // namespace optiplet::noc

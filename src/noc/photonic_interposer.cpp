@@ -52,6 +52,7 @@ PhotonicInterposer::PhotonicInterposer(const PhotonicInterposerConfig& config,
   OPTIPLET_REQUIRE(config.interposer_span_m > 0.0,
                    "interposer span must be positive");
   build_budgets();
+  solve_lasers();
 }
 
 void PhotonicInterposer::build_budgets() {
@@ -107,6 +108,25 @@ void PhotonicInterposer::build_budgets() {
       grid_.channel_count() / 2, wavelengths_per_gateway());
 }
 
+void PhotonicInterposer::solve_lasers() {
+  // PD noise scales with the symbol rate; multi-level formats then add
+  // their eye-closure penalty on top.
+  const double sensitivity_dbm =
+      photonics::Photodetector(tech_.photodetector)
+          .sensitivity_dbm(config_.data_rate_per_wavelength_bps) +
+      photonics::receiver_penalty_db(config_.modulation);
+  swmr_laser_power_per_wavelength_w_ = swmr_budget_.required_laser_power_w(
+      sensitivity_dbm, swmr_crosstalk_db_, tech_.system_margin_db);
+  swsr_laser_power_per_wavelength_w_ = swsr_budget_.required_laser_power_w(
+      sensitivity_dbm, swsr_crosstalk_db_, tech_.system_margin_db);
+  laser_coupling_factor_ = util::from_db(tech_.laser.coupling_loss_db);
+  time_of_flight_s_ =
+      photonics::Waveguide(
+          config_.broadcast_path_factor * config_.interposer_span_m, 0, 0,
+          tech_.waveguide)
+          .time_of_flight_s();
+}
+
 std::size_t PhotonicInterposer::wavelengths_per_gateway() const {
   return config_.total_wavelengths / config_.gateways_per_chiplet;
 }
@@ -133,18 +153,11 @@ double PhotonicInterposer::swsr_bandwidth_bps(
   return static_cast<double>(active_gateways) * gateway_bandwidth_bps();
 }
 
-double PhotonicInterposer::time_of_flight_s() const {
-  const photonics::Waveguide path(
-      config_.broadcast_path_factor * config_.interposer_span_m, 0, 0,
-      tech_.waveguide);
-  return path.time_of_flight_s();
-}
-
 double PhotonicInterposer::transfer_latency_s(std::uint64_t bits,
                                               double bandwidth_bps) const {
   OPTIPLET_REQUIRE(bandwidth_bps > 0.0, "bandwidth must be positive");
   return compute_gateway_.store_forward_latency_s() +
-         static_cast<double>(bits) / bandwidth_bps + time_of_flight_s();
+         static_cast<double>(bits) / bandwidth_bps + time_of_flight_s_;
 }
 
 bool PhotonicInterposer::link_budget_feasible(double max_loss_db) const {
@@ -161,26 +174,6 @@ bool PhotonicInterposer::link_budget_feasible(double max_loss_db) const {
          swsr_budget_.total_loss_db() + swsr_crosstalk_db_ <= max_loss_db;
 }
 
-double PhotonicInterposer::swmr_laser_power_per_wavelength_w() const {
-  // PD noise scales with the symbol rate; multi-level formats then add
-  // their eye-closure penalty on top.
-  const double sensitivity_dbm =
-      photonics::Photodetector(tech_.photodetector)
-          .sensitivity_dbm(config_.data_rate_per_wavelength_bps) +
-      photonics::receiver_penalty_db(config_.modulation);
-  return swmr_budget_.required_laser_power_w(
-      sensitivity_dbm, swmr_crosstalk_db_, tech_.system_margin_db);
-}
-
-double PhotonicInterposer::swsr_laser_power_per_wavelength_w() const {
-  const double sensitivity_dbm =
-      photonics::Photodetector(tech_.photodetector)
-          .sensitivity_dbm(config_.data_rate_per_wavelength_bps) +
-      photonics::receiver_penalty_db(config_.modulation);
-  return swsr_budget_.required_laser_power_w(
-      sensitivity_dbm, swsr_crosstalk_db_, tech_.system_margin_db);
-}
-
 double PhotonicInterposer::laser_electrical_power_w(
     std::size_t active_broadcast_wavelengths,
     std::size_t total_active_compute_gateways) const {
@@ -189,16 +182,16 @@ double PhotonicInterposer::laser_electrical_power_w(
       "more active gateways than the platform has");
   const double optical =
       static_cast<double>(active_broadcast_wavelengths) *
-          swmr_laser_power_per_wavelength_w() +
+          swmr_laser_power_per_wavelength_w_ +
       static_cast<double>(total_active_compute_gateways) *
           static_cast<double>(wavelengths_per_gateway()) *
-          swsr_laser_power_per_wavelength_w();
-  const double coupling = util::from_db(tech_.laser.coupling_loss_db);
+          swsr_laser_power_per_wavelength_w_;
   const double bias = (active_broadcast_wavelengths +
                        total_active_compute_gateways) > 0
                           ? tech_.laser.bias_overhead_w
                           : 0.0;
-  return optical * coupling / tech_.laser.wall_plug_efficiency + bias;
+  return optical * laser_coupling_factor_ / tech_.laser.wall_plug_efficiency +
+         bias;
 }
 
 double PhotonicInterposer::network_static_power_w(

@@ -84,7 +84,7 @@ class PhotonicInterposer {
                                           double bandwidth_bps) const;
 
   /// Worst-case photon time of flight across the interposer [s].
-  [[nodiscard]] double time_of_flight_s() const;
+  [[nodiscard]] double time_of_flight_s() const { return time_of_flight_s_; }
 
   // ---- link budgets / laser ----
 
@@ -106,10 +106,14 @@ class PhotonicInterposer {
   [[nodiscard]] bool link_budget_feasible(double max_loss_db = 45.0) const;
 
   /// Required on-chip optical power per wavelength for the broadcast [W].
-  [[nodiscard]] double swmr_laser_power_per_wavelength_w() const;
+  [[nodiscard]] double swmr_laser_power_per_wavelength_w() const {
+    return swmr_laser_power_per_wavelength_w_;
+  }
 
   /// Required optical power per wavelength for one write path [W].
-  [[nodiscard]] double swsr_laser_power_per_wavelength_w() const;
+  [[nodiscard]] double swsr_laser_power_per_wavelength_w() const {
+    return swsr_laser_power_per_wavelength_w_;
+  }
 
   /// Electrical laser power with the given active configuration [W]:
   /// the memory broadcast keeps `active_broadcast_wavelengths` channels lit
@@ -152,6 +156,7 @@ class PhotonicInterposer {
 
  private:
   void build_budgets();
+  void solve_lasers();
 
   PhotonicInterposerConfig config_;
   power::PhotonicTech tech_;
@@ -162,6 +167,11 @@ class PhotonicInterposer {
   photonics::LinkBudget swsr_budget_;
   double swmr_crosstalk_db_ = 0.0;
   double swsr_crosstalk_db_ = 0.0;
+  // Run-invariant values the constructor computes once (solve_lasers()).
+  double swmr_laser_power_per_wavelength_w_ = 0.0;
+  double swsr_laser_power_per_wavelength_w_ = 0.0;
+  double laser_coupling_factor_ = 0.0;
+  double time_of_flight_s_ = 0.0;
 };
 
 }  // namespace optiplet::noc

@@ -1,5 +1,6 @@
 #include "photonics/microring_group.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/math.hpp"
@@ -7,10 +8,11 @@
 
 namespace optiplet::photonics {
 
-MicroringGroup::MicroringGroup(const MicroringGroupConfig& config,
-                               const WdmGrid& grid,
-                               std::size_t channel_offset)
-    : config_(config) {
+namespace {
+
+const MicroringGroupConfig& checked(const MicroringGroupConfig& config,
+                                    const WdmGrid& grid,
+                                    std::size_t channel_offset) {
   OPTIPLET_REQUIRE(config.wavelengths_per_row >= 1,
                    "MRG row needs at least one wavelength");
   OPTIPLET_REQUIRE(config.modulator_rows + config.filter_rows >= 1,
@@ -18,18 +20,37 @@ MicroringGroup::MicroringGroup(const MicroringGroupConfig& config,
   OPTIPLET_REQUIRE(
       channel_offset + config.wavelengths_per_row <= grid.channel_count(),
       "MRG rows exceed the WDM grid");
+  return config;
+}
 
-  const std::size_t rows = config.modulator_rows + config.filter_rows;
-  rings_.reserve(rows * config.wavelengths_per_row);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t w = 0; w < config.wavelengths_per_row; ++w) {
-      rings_.emplace_back(config.ring_design, config.ring_tuning,
-                          grid.wavelength_m(channel_offset + w));
-    }
+}  // namespace
+
+MicroringGroup::MicroringGroup(const MicroringGroupConfig& config,
+                               const WdmGrid& grid,
+                               std::size_t channel_offset)
+    : config_(checked(config, grid, channel_offset)),
+      reference_ring_(config.ring_design, config.ring_tuning,
+                      grid.wavelength_m(channel_offset)) {
+  // Fabrication variation forces every ring to hold a trim offset; the
+  // CrossLight/ReSiPI power models charge an average per-ring hold power.
+  // We charge each ring its driver static power plus the heater power for a
+  // representative 0.4 nm process-variation trim (Mirza et al. device data
+  // used by CrossLight [21]). All rings share one tuning, so the per-ring
+  // term is the same; it is still added once per ring, in ring order.
+  const MicroringTuning& tuning = reference_ring_.tuning();
+  const double trim_m = 0.4 * units::nm;
+  const double thermal_shift = std::max(0.0, trim_m - tuning.eo_range_m);
+  const double per_ring =
+      thermal_shift / tuning.to_efficiency_m_per_w + tuning.driver_static_w;
+  for (std::size_t r = 0; r < ring_count(); ++r) {
+    static_tuning_power_w_ += per_ring;
   }
 }
 
-std::size_t MicroringGroup::ring_count() const { return rings_.size(); }
+std::size_t MicroringGroup::ring_count() const {
+  return (config_.modulator_rows + config_.filter_rows) *
+         config_.wavelengths_per_row;
+}
 
 std::size_t MicroringGroup::modulator_count() const {
   return config_.modulator_rows * config_.wavelengths_per_row;
@@ -39,25 +60,8 @@ std::size_t MicroringGroup::filter_count() const {
   return config_.filter_rows * config_.wavelengths_per_row;
 }
 
-double MicroringGroup::static_tuning_power_w() const {
-  // Fabrication variation forces every ring to hold a trim offset; the
-  // CrossLight/ReSiPI power models charge an average per-ring hold power.
-  // We charge each ring its driver static power plus the heater power for a
-  // representative 0.4 nm process-variation trim (Mirza et al. device data
-  // used by CrossLight [21]).
-  const double trim_m = 0.4 * units::nm;
-  double total = 0.0;
-  for (const auto& ring : rings_) {
-    const double thermal_shift =
-        std::max(0.0, trim_m - ring.tuning().eo_range_m);
-    total += thermal_shift / ring.tuning().to_efficiency_m_per_w +
-             ring.tuning().driver_static_w;
-  }
-  return total;
-}
-
 double MicroringGroup::modulation_energy_j(std::uint64_t bits) const {
-  return rings_.empty() ? 0.0 : rings_.front().modulation_energy_j(bits);
+  return reference_ring_.modulation_energy_j(bits);
 }
 
 double MicroringGroup::area_m2() const {
@@ -70,10 +74,7 @@ double MicroringGroup::through_loss_db() const {
   // channels). Sum the Lorentzian through-port losses at k-channel-spacing
   // detunes on both sides of the victim channel; the same-channel ring of a
   // non-addressed gateway is parked off-grid and contributes nothing.
-  if (rings_.empty()) {
-    return 0.0;
-  }
-  const auto& ring = rings_.front();
+  const auto& ring = reference_ring_;
   const double spacing = 0.8 * units::nm;
   double loss_db = 0.0;
   const auto row = static_cast<long>(config_.wavelengths_per_row);
@@ -88,10 +89,7 @@ double MicroringGroup::through_loss_db() const {
 }
 
 double MicroringGroup::drop_loss_db() const {
-  if (rings_.empty()) {
-    return 0.0;
-  }
-  const auto& ring = rings_.front();
+  const auto& ring = reference_ring_;
   const double t = ring.drop_transmission(ring.resonance_m());
   return -util::to_db(t);
 }

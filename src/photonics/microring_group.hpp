@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "photonics/microring.hpp"
 #include "photonics/wavelength.hpp"
@@ -52,7 +51,9 @@ class MicroringGroup {
 
   /// Static tuning power to hold every ring on its channel [W]. Scales with
   /// the ring count; the dominant MRG overhead in ReSiPI's power model.
-  [[nodiscard]] double static_tuning_power_w() const;
+  [[nodiscard]] double static_tuning_power_w() const {
+    return static_tuning_power_w_;
+  }
 
   /// Modulation energy for `bits` sent through the modulator row(s) [J].
   [[nodiscard]] double modulation_energy_j(std::uint64_t bits) const;
@@ -68,17 +69,19 @@ class MicroringGroup {
   /// Drop loss experienced by the wavelength a filter ring extracts [dB].
   [[nodiscard]] double drop_loss_db() const;
 
-  /// Representative ring (all rings share a design; exposed for tests and
-  /// crosstalk computation).
+  /// Representative ring, tuned to the group's first channel. Every ring
+  /// shares its design and tuning and differs only in wavelength, so the
+  /// group answers all its queries from this one ring and its row counts.
   [[nodiscard]] const MicroringResonator& reference_ring() const {
-    return rings_.front();
+    return reference_ring_;
   }
 
   [[nodiscard]] const MicroringGroupConfig& config() const { return config_; }
 
  private:
   MicroringGroupConfig config_;
-  std::vector<MicroringResonator> rings_;  // one per row-wavelength
+  MicroringResonator reference_ring_;
+  double static_tuning_power_w_ = 0.0;
 };
 
 }  // namespace optiplet::photonics

@@ -30,6 +30,17 @@ constexpr std::size_t kNoTenant = static_cast<std::size_t>(-1);
 /// Most buckets a day curve may grow to.
 constexpr std::size_t kMaxCurveBuckets = std::size_t{1} << 22;
 
+/// Refuses a day-curve `bucket=` width too narrow for `what` (a span that
+/// ends at `end_s`). Kept out of line: Engine::curve_bucket runs once per
+/// batch and only calls it.
+[[noreturn, gnu::noinline, gnu::cold]] void refuse_curve_bucket(
+    double bucket_s, const char* what, double end_s) {
+  throw std::invalid_argument(
+      "bucket=" + util::format_general(bucket_s) + " is too narrow for " +
+      what + util::format_general(end_s) + " s: the day curve holds " +
+      std::to_string(kMaxCurveBuckets) + " buckets");
+}
+
 /// Index of an entry in a SlotPool.
 using Slot = std::uint32_t;
 constexpr Slot kNoSlot = static_cast<Slot>(-1);
@@ -723,9 +734,11 @@ struct Engine {
     }
     const auto idx =
         static_cast<std::size_t>(std::max(t, 0.0) / bucket_s);
-    OPTIPLET_REQUIRE(idx < kMaxCurveBuckets,
-                     "day-curve bucket index exploded (curve_bucket_s is "
-                     "too small for the trace span)");
+    if (idx >= kMaxCurveBuckets) {
+      // Open-loop arrivals were checked at set-up; a closed loop (or a
+      // run serving long after its last arrival) learns its span here.
+      refuse_curve_bucket(bucket_s, "a run that reached ", t);
+    }
     if (report.day_curve.size() <= idx) {
       const std::size_t old_size = report.day_curve.size();
       report.day_curve.resize(idx + 1);
@@ -1920,6 +1933,11 @@ void check_serving_rules(const ServingConfig& config,
   const std::string trace =
       trace_path.empty() ? "the replayed trace" : "trace " + trace_path;
   for (const TenantSetup& tenant : config.tenants) {
+    if (!(tenant.token_spread >= 0.0 && tenant.token_spread < 1.0)) {
+      throw std::invalid_argument(
+          "token_spread " + util::format_general(tenant.token_spread) +
+          " on " + tenant.model + " is outside [0, 1)");
+    }
     if (!has_token_geometry(tenant)) {
       if (tenant.decode_tokens > 0) {
         throw std::invalid_argument(
@@ -1943,11 +1961,6 @@ void check_serving_rules(const ServingConfig& config,
                : "the token columns of " + trace) +
           " on fixed-shape model " + tenant.model +
           " (token geometry needs a transformer)");
-    }
-    if (!(tenant.token_spread >= 0.0 && tenant.token_spread < 1.0)) {
-      throw std::invalid_argument(
-          "token_spread " + util::format_general(tenant.token_spread) +
-          " on " + tenant.model + " is outside [0, 1)");
     }
     const std::uint64_t worst = worst_case_tokens(tenant);
     if (worst > transformer->max_context) {
@@ -2212,11 +2225,7 @@ ServingReport simulate(const ServingConfig& config) {
   }
   if (bucket_s > 0.0 &&
       last_arrival_s / bucket_s >= static_cast<double>(kMaxCurveBuckets)) {
-    throw std::invalid_argument(
-        "bucket=" + util::format_general(bucket_s) +
-        " is too narrow for the arrivals from 0 to " +
-        util::format_general(last_arrival_s) + " s: the day curve holds " +
-        std::to_string(kMaxCurveBuckets) + " buckets");
+    refuse_curve_bucket(bucket_s, "the arrivals from 0 to ", last_arrival_s);
   }
   // The exclusive chiplet-group resource table: the shared-serial pool
   // first, then (layer-granular mode) every tenant's owned groups.

@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 
+#include "accel/platform.hpp"
+
 namespace optiplet::accel {
 namespace {
 
@@ -13,6 +15,34 @@ ChipletDesign conv3_design() {
   d.units = 44;
   d.units_per_bus = 11;
   return d;
+}
+
+// The chiplet solves its per-wavelength laser power once, at construction.
+// The electrical laser power must still equal its formula evaluated from
+// scratch, bit for bit, on every Table-1 and monolithic group.
+TEST(Chiplet, LaserPowerMatchesItsFormulaBitForBit) {
+  const power::TechParams tech = power::default_tech();
+  for (const PlatformSpec& spec :
+       {make_table1_spec(), make_monolithic_spec()}) {
+    for (const ChipletGroup& group : spec.groups) {
+      const ComputeChiplet c(group.chiplet, tech);
+      const double sensitivity_dbm =
+          photonics::Photodetector(tech.photonic.photodetector)
+              .sensitivity_dbm(tech.compute.mac_symbol_rate_hz);
+      const double per_wavelength_w = c.bus_budget().required_laser_power_w(
+          sensitivity_dbm + tech.compute.analog_precision_penalty_db, 0.5,
+          tech.compute.compute_margin_db);
+      EXPECT_EQ(c.laser_power_per_wavelength_w(), per_wavelength_w);
+      const double optical_w = per_wavelength_w *
+                               static_cast<double>(c.unit().size()) *
+                               static_cast<double>(c.bus_count());
+      EXPECT_EQ(c.laser_electrical_power_w(),
+                optical_w / tech.photonic.laser.wall_plug_efficiency *
+                    tech.photonic.laser.tec_overhead_factor)
+          << to_string(group.chiplet.kind) << ", " << group.chiplet.units
+          << " units";
+    }
+  }
 }
 
 TEST(Chiplet, BusCountFromUnitsPerBus) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
+#include "photonics/waveguide.hpp"
+#include "util/math.hpp"
 #include "util/units.hpp"
 
 namespace optiplet::noc {
@@ -122,6 +126,106 @@ TEST(Interposer, RejectsOverActivation) {
   EXPECT_THROW((void)ip.swsr_bandwidth_bps(5), std::invalid_argument);
   EXPECT_THROW((void)ip.laser_electrical_power_w(64, 33),
                std::invalid_argument);
+}
+
+/// Hold power of `mrg` as a walk over its rings adds it, one term per ring.
+double hold_power_w(const photonics::MicroringGroup& mrg) {
+  const photonics::MicroringTuning& tuning = mrg.config().ring_tuning;
+  double total = 0.0;
+  for (std::size_t r = 0; r < mrg.ring_count(); ++r) {
+    total += std::max(0.0, 0.4 * units::nm - tuning.eo_range_m) /
+                 tuning.to_efficiency_m_per_w +
+             tuning.driver_static_w;
+  }
+  return total;
+}
+
+// The interposer solves its lasers, coupling factor and time of flight
+// once, at construction. Every power and latency query must still equal
+// its formula evaluated from scratch, bit for bit.
+TEST(Interposer, RunConstantsMatchTheirFormulasBitForBit) {
+  PhotonicInterposerConfig pam4;
+  pam4.modulation = photonics::ModulationFormat::kPam4;
+  PhotonicInterposerConfig narrow;
+  narrow.total_wavelengths = 16;
+  PhotonicInterposerConfig small;
+  small.compute_chiplets = 4;
+  small.gateways_per_chiplet = 2;
+  small.total_wavelengths = 32;
+  const power::PhotonicTech tech{};
+  for (const PhotonicInterposerConfig& cfg :
+       {PhotonicInterposerConfig{}, pam4, narrow, small}) {
+    const PhotonicInterposer ip(cfg, tech);
+    const std::size_t channels = ip.grid().channel_count();
+    const double sensitivity_dbm =
+        photonics::Photodetector(tech.photodetector)
+            .sensitivity_dbm(cfg.data_rate_per_wavelength_bps) +
+        photonics::receiver_penalty_db(cfg.modulation);
+    const double swmr_w = ip.swmr_budget().required_laser_power_w(
+        sensitivity_dbm,
+        photonics::LinkBudget::crosstalk_penalty_db(
+            ip.compute_gateway().mrg().reference_ring(), ip.grid(),
+            channels / 2, channels),
+        tech.system_margin_db);
+    const double swsr_w = ip.swsr_budget().required_laser_power_w(
+        sensitivity_dbm,
+        photonics::LinkBudget::crosstalk_penalty_db(
+            ip.memory_gateway().mrg().reference_ring(), ip.grid(),
+            channels / 2, ip.wavelengths_per_gateway()),
+        tech.system_margin_db);
+    EXPECT_EQ(ip.swmr_laser_power_per_wavelength_w(), swmr_w);
+    EXPECT_EQ(ip.swsr_laser_power_per_wavelength_w(), swsr_w);
+    const double memory_w =
+        hold_power_w(ip.memory_gateway().mrg()) + tech.gateway_static_w;
+    const double compute_w =
+        hold_power_w(ip.compute_gateway().mrg()) + tech.gateway_static_w;
+
+    const std::size_t lambdas = cfg.total_wavelengths;
+    const std::size_t gateways = ip.total_compute_gateways();
+    const std::pair<std::size_t, std::size_t> activations[] = {
+        {0, 0},
+        {1, 0},
+        {0, 1},
+        {1, gateways / 4},
+        {lambdas / 2, gateways / 2},
+        {lambdas, gateways - 1},
+        {lambdas, gateways},
+    };
+    for (const auto& [lambda, active] : activations) {
+      const double optical =
+          static_cast<double>(lambda) * swmr_w +
+          static_cast<double>(active) *
+              static_cast<double>(ip.wavelengths_per_gateway()) * swsr_w;
+      const double laser_w =
+          optical * util::from_db(tech.laser.coupling_loss_db) /
+              tech.laser.wall_plug_efficiency +
+          (lambda + active > 0 ? tech.laser.bias_overhead_w : 0.0);
+      EXPECT_EQ(ip.laser_electrical_power_w(lambda, active), laser_w)
+          << lambda << " wavelengths, " << active << " gateways";
+      EXPECT_EQ(ip.network_static_power_w(lambda, active),
+                laser_w + (memory_w + static_cast<double>(active) * compute_w) +
+                    tech.controller_static_w)
+          << lambda << " wavelengths, " << active << " gateways";
+    }
+
+    const double flight_s =
+        photonics::Waveguide(cfg.broadcast_path_factor * cfg.interposer_span_m,
+                             0, 0, tech.waveguide)
+            .time_of_flight_s();
+    EXPECT_EQ(ip.time_of_flight_s(), flight_s);
+    const std::pair<std::uint64_t, double> transfers[] = {
+        {0, 1e9},
+        {1, ip.gateway_bandwidth_bps()},
+        {10'000'000, ip.swmr_bandwidth_bps(lambdas)},
+        {123'456'789, ip.swsr_bandwidth_bps(1)},
+    };
+    for (const auto& [bits, bandwidth_bps] : transfers) {
+      EXPECT_EQ(ip.transfer_latency_s(bits, bandwidth_bps),
+                ip.compute_gateway().store_forward_latency_s() +
+                    static_cast<double>(bits) / bandwidth_bps + flight_s)
+          << bits << " bits";
+    }
+  }
 }
 
 TEST(Interposer, Table1DesignIsFeasible) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/units.hpp"
@@ -47,6 +48,30 @@ TEST(MicroringGroup, StaticTuningPowerScalesWithRings) {
   // Per-ring power identical: totals proportional to ring counts.
   EXPECT_NEAR(m_big.static_tuning_power_w() / m_big.ring_count(),
               m_small.static_tuning_power_w() / m_small.ring_count(), 1e-12);
+}
+
+// The group keeps one reference ring and sums its hold power once, at
+// construction: the total must equal a walk over every ring that adds each
+// ring's term in turn, bit for bit (a product ring_count * term would not).
+TEST(MicroringGroup, HoldPowerIsThePerRingSumBitForBit) {
+  const WdmGrid grid = make_cband_grid(64);
+  MicroringGroupConfig memory;  // Fig. 6 MRGm: 1 + 32 rows of 64 rings
+  memory.wavelengths_per_row = 64;
+  memory.modulator_rows = 1;
+  memory.filter_rows = 32;
+  for (const MicroringGroupConfig& c : {compute_mrg_config(), memory}) {
+    const MicroringGroup mrg(c, grid, 0);
+    const MicroringTuning& tuning = c.ring_tuning;
+    double expected = 0.0;
+    for (std::size_t r = 0; r < mrg.ring_count(); ++r) {
+      const double thermal_shift =
+          std::max(0.0, 0.4 * units::nm - tuning.eo_range_m);
+      expected += thermal_shift / tuning.to_efficiency_m_per_w +
+                  tuning.driver_static_w;
+    }
+    EXPECT_EQ(mrg.static_tuning_power_w(), expected)
+        << mrg.ring_count() << " rings";
+  }
 }
 
 TEST(MicroringGroup, PerRingTuningPowerInMilliwattClass) {

@@ -469,5 +469,26 @@ TEST(ElasticValidation, RejectsInvalidSpecsLoudly) {
   EXPECT_THROW(run(bad_chiplet), std::invalid_argument);
 }
 
+// A closed loop learns its span only while it runs, so a day-curve bucket
+// too narrow for it is refused mid-run, naming the width.
+TEST(ElasticValidation, RefusesAClosedLoopBucketTooNarrowForItsSpan) {
+  ServingSpec closed = base_spec("LeNet5", 1000.0, 200);
+  closed.source = ArrivalSource::kClosedLoop;
+  closed.users = 4;
+  closed.think_s = 1e-4;
+  closed.elastic.curve_bucket_s = 1e-9;
+  try {
+    (void)run(closed);
+    ADD_FAILURE() << "a 1e-9 s bucket was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(
+                  "bucket=1e-09 is too narrow for a run that reached ", 0),
+              0u)
+        << e.what();
+  }
+  closed.elastic.curve_bucket_s = 1e-3;
+  EXPECT_FALSE(run(closed).day_curve.empty());
+}
+
 }  // namespace
 }  // namespace optiplet::serve

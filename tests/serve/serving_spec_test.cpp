@@ -187,6 +187,17 @@ TEST(ServingEntryChecks, NameTheFieldTheyRefuse) {
             "token_spread 1.5 on TinyGPT is outside [0, 1)");
   spread.token_spread = 0.99;
   EXPECT_EQ(entry_error(spread), "");
+  // The range holds for every tenant, not only those that draw tokens.
+  spread.prefill_tokens = 0;
+  spread.token_spread = 1.5;
+  EXPECT_EQ(entry_error(spread),
+            "token_spread 1.5 on TinyGPT is outside [0, 1)");
+  spread.tenant_mix = "LeNet5";
+  spread.token_spread = -0.25;
+  EXPECT_EQ(entry_error(spread),
+            "token_spread -0.25 on LeNet5 is outside [0, 1)");
+  spread.token_spread = 0.5;
+  EXPECT_EQ(entry_error(spread), "");
 
   ServingSpec pipelined;
   pipelined.tenant_mix = "LeNet5";

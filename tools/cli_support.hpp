@@ -356,14 +356,16 @@ OptionSet::Parse store_choice(T& out, F from_string, std::string what,
 }
 
 /// What a numeric flag accepts beyond util::parse_number's spelling.
-enum class Range { kAny, kNonNegative, kPositive };
+/// kFraction is the half-open [0, 1).
+enum class Range { kAny, kNonNegative, kPositive, kFraction };
 
 /// `text` as a T within `range`, or nullopt.
 template <typename T>
 std::optional<T> parse_in(const std::string& text, Range range) {
   const auto value = util::parse_number<T>(text);
   if (!value || (range == Range::kPositive && *value <= T{}) ||
-      (range == Range::kNonNegative && *value < T{})) {
+      (range == Range::kNonNegative && *value < T{}) ||
+      (range == Range::kFraction && !(*value >= T{} && *value < T{1}))) {
     return std::nullopt;
   }
   return value;

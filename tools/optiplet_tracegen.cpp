@@ -81,7 +81,7 @@ seeded non-homogeneous Poisson processes (generated by thinning):
            "relative half-width of the per-event uniform token\n"
            "draw, in [0,1); 0 = exact means (default 0)",
            cli::store(spec.token_spread, "token spread",
-                      cli::Range::kNonNegative))
+                      cli::Range::kFraction))
       .add("--out", "FILE", "output CSV path (default trace.csv)",
            cli::store_string(out_path))
       .add_text("\ndiurnal:")
