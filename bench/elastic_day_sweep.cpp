@@ -85,9 +85,7 @@ std::vector<double> diurnal_arrivals(double base_rps, std::uint64_t seed,
 }
 
 double idle_energy_j(const serve::ServingReport& report) {
-  const auto it = report.ledger.entries().find("serving.idle");
-  return it == report.ledger.entries().end() ? 0.0
-                                             : it->second.dynamic_energy_j;
+  return report.ledger.entry(power::Category::kServingIdle).dynamic_energy_j;
 }
 
 /// Energy per completed request over the tercile of day-curve buckets

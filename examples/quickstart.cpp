@@ -45,8 +45,7 @@ int main() {
       simulator.run(model, accel::Architecture::kSiph2p5D);
   std::printf("\n2.5D-SiPh energy breakdown:\n");
   for (const auto& [category, entry] : siph.ledger.entries()) {
-    std::printf("  %-24s %8.3f mJ\n", category.c_str(),
-                entry.dynamic_energy_j * 1e3);
+    std::printf("  %-24s %8.3f mJ\n", category, entry.dynamic_energy_j * 1e3);
   }
   std::printf("\nReSiPI: %llu gateway reconfigurations, %.1f active "
               "gateways on average (of %zu)\n",

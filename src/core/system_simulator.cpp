@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <tuple>
 
 #include "noc/photonic_cycle_net.hpp"
 #include "util/math.hpp"
 #include "util/require.hpp"
 
 namespace optiplet::core {
+
+using power::Category;
 
 namespace {
 
@@ -49,13 +52,14 @@ void charge_compute(power::EnergyLedger& ledger,
                     std::uint64_t macs, double layer_s) {
   for (std::size_t g = 0; g < group_power.size(); ++g) {
     const GroupPower& power = group_power[g];
-    ledger.charge_power_for("compute.laser", power.laser_w, layer_s);
-    ledger.charge_power_for("compute.rings", power.rings_w, layer_s);
-    ledger.charge_power_for("compute.electronics", power.electronics_w,
-                            layer_s);
+    ledger.charge_power_for(Category::kComputeLaser, power.laser_w, layer_s);
+    ledger.charge_power_for(Category::kComputeRings, power.rings_w, layer_s);
+    ledger.charge_power_for(Category::kComputeElectronics,
+                            power.electronics_w, layer_s);
     const accel::ComputeChiplet& chiplet = platform.groups()[g].chiplet;
     if (chiplet.kind() == assignment.group) {
-      ledger.charge_energy("compute.dynamic", chiplet.dynamic_energy_j(macs));
+      ledger.charge_energy(Category::kComputeDynamic,
+                           chiplet.dynamic_energy_j(macs));
     }
   }
 }
@@ -145,13 +149,13 @@ RunResult SystemSimulator::run_monolithic(const dnn::Model& model) const {
         std::max(lr.compute_s, lr.read_s + lr.write_s) + lr.overhead_s;
     result.latency_s += lr.total_s;
 
-    result.ledger.charge_power_for("compute.die_static", die_static_w,
-                                   lr.total_s);
+    result.ledger.charge_power_for(Category::kComputeDieStatic,
+                                   die_static_w, lr.total_s);
     result.ledger.charge_energy(
-        "compute.dynamic",
+        Category::kComputeDynamic,
         platform.group_for(a.group).chiplet.dynamic_energy_j(lw.macs));
     result.ledger.charge_energy(
-        "memory.ddr_access",
+        Category::kMemoryDdrAccess,
         static_cast<double>(reads + writes) * kDdrEnergyPerBit);
     result.layers.push_back(lr);
   }
@@ -162,9 +166,10 @@ RunResult SystemSimulator::run_monolithic(const dnn::Model& model) const {
                             workload.layers.back().output_bits) /
                         config_.monolithic_memory_bandwidth_bps;
     result.latency_s += io_s;
-    result.ledger.charge_power_for("compute.die_static", die_static_w, io_s);
+    result.ledger.charge_power_for(Category::kComputeDieStatic,
+                                   die_static_w, io_s);
   }
-  result.ledger.charge_power_for("memory.interface_static",
+  result.ledger.charge_power_for(Category::kMemoryInterfaceStatic,
                                  config_.tech.compute.hbm_static_w,
                                  result.latency_s);
 
@@ -464,7 +469,7 @@ RunResult SystemSimulator::run_2p5d(const dnn::Model& model,
             chiplet_gw * interposer.wavelengths_per_gateway(), 1,
             config_.photonic.total_wavelengths);
         result.ledger.charge_power_for(
-            "network.static",
+            Category::kNetworkStatic,
             interposer.network_static_power_w(active_lambda, total_gw),
             seconds);
         gateway_time_weight += static_cast<double>(total_gw) * seconds;
@@ -481,7 +486,7 @@ RunResult SystemSimulator::run_2p5d(const dnn::Model& model,
                       net->controller().total_active_gateways(),
                       lr.total_s - elapsed_s);
       }
-      result.ledger.charge_energy("network.transfer",
+      result.ledger.charge_energy(Category::kNetworkTransfer,
                                   interposer.transfer_energy_j(
                                       reads + writes));
       if (est) {
@@ -564,10 +569,10 @@ RunResult SystemSimulator::run_2p5d(const dnn::Model& model,
           gw * interposer.wavelengths_per_gateway(), 1,
           config_.photonic.total_wavelengths);
       result.ledger.charge_power_for(
-          "network.static",
+          Category::kNetworkStatic,
           interposer.network_static_power_w(active_lambda, total_gw),
           lr.total_s);
-      result.ledger.charge_energy("network.transfer",
+      result.ledger.charge_energy(Category::kNetworkTransfer,
                                   interposer.transfer_energy_j(
                                       reads + writes));
       gateway_time_weight += static_cast<double>(total_gw) * lr.total_s;
@@ -589,10 +594,10 @@ RunResult SystemSimulator::run_2p5d(const dnn::Model& model,
       lr.overhead_s = config_.layer_overhead_2p5d_s;
       lr.total_s = lr.read_s + lr.write_s + lr.compute_s + lr.overhead_s;
 
-      result.ledger.charge_power_for("network.static", elec.static_power_w(),
-                                     lr.total_s);
+      result.ledger.charge_power_for(Category::kNetworkStatic,
+                                     elec.static_power_w(), lr.total_s);
       result.ledger.charge_energy(
-          "network.transfer",
+          Category::kNetworkTransfer,
           elec.transfer_energy_j(
               static_cast<std::uint64_t>(read_volume) + writes,
               config_.electrical.average_hops));
@@ -601,7 +606,7 @@ RunResult SystemSimulator::run_2p5d(const dnn::Model& model,
     charge_compute(result.ledger, platform, group_power, a, lw.macs,
                    lr.total_s);
     result.ledger.charge_energy(
-        "memory.hbm_access",
+        Category::kMemoryHbmAccess,
         static_cast<double>(reads + writes) *
             config_.tech.compute.hbm_energy_per_bit_j);
 
@@ -609,7 +614,7 @@ RunResult SystemSimulator::run_2p5d(const dnn::Model& model,
     result.layers.push_back(lr);
   }
 
-  result.ledger.charge_power_for("memory.interface_static",
+  result.ledger.charge_power_for(Category::kMemoryInterfaceStatic,
                                  config_.tech.compute.hbm_static_w,
                                  result.latency_s);
   if (siph) {
@@ -623,7 +628,7 @@ RunResult SystemSimulator::run_2p5d(const dnn::Model& model,
         net ? net->controller() : controller;
     result.resipi_reconfigurations = resipi.reconfiguration_count();
     result.resipi_energy_j = resipi.reconfiguration_energy_j();
-    result.ledger.charge_energy("network.pcm_reconfig",
+    result.ledger.charge_energy(Category::kNetworkPcmReconfig,
                                 result.resipi_energy_j);
     result.mean_active_gateways =
         result.latency_s > 0.0 ? gateway_time_weight / result.latency_s : 0.0;

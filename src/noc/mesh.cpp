@@ -248,14 +248,14 @@ bool ElectricalMesh::run_until_drained(std::uint64_t max_cycles) {
 power::EnergyLedger ElectricalMesh::energy() const {
   power::EnergyLedger ledger;
   const double bits_per_flit = config_.link_width_bits;
-  ledger.charge_energy("noc.router",
+  ledger.charge_energy(power::Category::kNocRouter,
                        static_cast<double>(stats_.flit_hops) * bits_per_flit *
                            tech_.router_energy_per_bit_j);
-  ledger.charge_energy("noc.link",
+  ledger.charge_energy(power::Category::kNocLink,
                        static_cast<double>(stats_.link_traversals) *
                            bits_per_flit * tech_.wire_energy_per_bit_per_m *
                            config_.hop_distance_m);
-  ledger.add_static_power("noc.router_static",
+  ledger.add_static_power(power::Category::kNocRouterStatic,
                           tech_.router_static_w *
                               static_cast<double>(node_count()));
   return ledger;

@@ -4,7 +4,7 @@ namespace optiplet::power {
 
 double EnergyLedger::total_dynamic_energy_j() const {
   double total = 0.0;
-  for (const auto& [name, entry] : entries_) {
+  for (const auto& [name, entry] : entries()) {
     total += entry.dynamic_energy_j;
   }
   return total;
@@ -12,7 +12,7 @@ double EnergyLedger::total_dynamic_energy_j() const {
 
 double EnergyLedger::total_static_power_w() const {
   double total = 0.0;
-  for (const auto& [name, entry] : entries_) {
+  for (const auto& [name, entry] : entries()) {
     total += entry.static_power_w;
   }
   return total;
@@ -35,21 +35,14 @@ double EnergyLedger::energy_per_bit_j(double duration_s,
 }
 
 void EnergyLedger::merge(const EnergyLedger& other) {
-  // Both maps are sorted by name: walk them in step, so each category
-  // costs a hinted insert at most instead of two tree lookups. The sums
-  // are the same additions in the same order.
-  auto it = entries_.begin();
-  for (const auto& [name, entry] : other.entries_) {
-    while (it != entries_.end() && it->first < name) {
-      ++it;
-    }
-    if (it == entries_.end() || it->first != name) {
-      it = entries_.emplace_hint(it, name, EnergyEntry{});
-    }
-    it->second.dynamic_energy_j += entry.dynamic_energy_j;
-    it->second.static_power_w += entry.static_power_w;
-    ++it;
+  // Slot by slot, with no branch: a slot `other` never charged adds +0.0,
+  // which leaves every slot here unchanged (none holds -0.0), so each
+  // charged category gets exactly the one addition a by-name merge makes.
+  for (std::size_t i = 0; i < kCategoryCount; ++i) {
+    slots_[i].dynamic_energy_j += other.slots_[i].dynamic_energy_j;
+    slots_[i].static_power_w += other.slots_[i].static_power_w;
   }
+  charged_ |= other.charged_;
 }
 
 }  // namespace optiplet::power

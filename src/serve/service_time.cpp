@@ -8,7 +8,9 @@ namespace optiplet::serve {
 
 ServiceTimeOracle::ServiceTimeOracle(std::vector<Tenant> tenants,
                                      accel::Architecture arch)
-    : tenants_(std::move(tenants)), arch_(arch) {
+    : tenants_(std::move(tenants)),
+      arch_(arch),
+      phase_index_(tenants_.size()) {
   OPTIPLET_REQUIRE(!tenants_.empty(), "oracle needs at least one tenant");
 }
 
@@ -86,10 +88,9 @@ std::uint32_t ServiceTimeOracle::kv_bucket(std::size_t tenant,
   OPTIPLET_REQUIRE(spec.has_value(),
                    "kv_bucket on a fixed-shape tenant: " +
                        tenants_[tenant].model.name());
-  constexpr std::uint32_t kBucket = 64;
   const std::uint64_t rounded =
-      (static_cast<std::uint64_t>(kv_tokens) + kBucket - 1) / kBucket *
-      kBucket;
+      (static_cast<std::uint64_t>(kv_tokens) + kKvBucket - 1) / kKvBucket *
+      kKvBucket;
   // The decode graph prices 1 fresh token over `kv` past ones, so the
   // bucket must leave room for the fresh token in the context window.
   const std::uint64_t cap = spec->max_context - 1;
@@ -103,40 +104,58 @@ const std::optional<dnn::TransformerSpec>& ServiceTimeOracle::transformer(
 }
 
 const core::RunResult& ServiceTimeOracle::phase_run(std::size_t tenant,
-                                                    int phase, unsigned batch,
-                                                    std::uint32_t tokens) {
+                                                    Phase phase,
+                                                    unsigned batch,
+                                                    std::uint32_t tokens,
+                                                    std::size_t entry) {
   OPTIPLET_REQUIRE(tenant < tenants_.size(), "unknown tenant index");
   OPTIPLET_REQUIRE(batch >= 1, "batch must be >= 1");
   const auto& spec = tenants_[tenant].transformer;
   OPTIPLET_REQUIRE(spec.has_value(),
                    "phase pricing on a fixed-shape tenant: " +
                        tenants_[tenant].model.name());
-  const PhaseKey key{tenant, phase, batch, tokens};
-  if (const auto it = phase_cache_.find(key); it != phase_cache_.end()) {
+  PhaseIndex& index = phase_index_[tenant][phase];
+  if (batch < index.size() && entry < index[batch].size() &&
+      index[batch][entry] != nullptr) {
     ++hits_;
-    return it->second;
+    return *index[batch][entry];
   }
   ++misses_;
-  const dnn::Model model = phase == 0
+  const dnn::Model model = phase == kPrefill
                                ? dnn::make_prefill_graph(*spec, tokens)
                                : dnn::make_decode_graph(*spec, tokens);
   core::SystemConfig config = tenants_[tenant].config;
   config.batch_size = batch;
   const core::SystemSimulator simulator(config);
-  return phase_cache_.emplace(key, simulator.run(model, arch_))
-      .first->second;
+  const core::RunResult& run =
+      phase_store_.emplace_back(simulator.run(model, arch_));
+  // Grow only once the point priced: the graph builders have refused a
+  // prompt or KV length beyond the context window by now.
+  if (index.size() <= batch) {
+    index.resize(batch + 1);
+  }
+  std::vector<const core::RunResult*>& row = index[batch];
+  if (row.size() <= entry) {
+    row.resize(entry + 1, nullptr);
+  }
+  row[entry] = &run;
+  return run;
 }
 
 const core::RunResult& ServiceTimeOracle::prefill_run(std::size_t tenant,
                                                       unsigned batch,
                                                       std::uint32_t tokens) {
   OPTIPLET_REQUIRE(tokens >= 1, "prefill needs at least one token");
-  return phase_run(tenant, 0, batch, tokens);
+  return phase_run(tenant, kPrefill, batch, tokens, tokens);
 }
 
 const core::RunResult& ServiceTimeOracle::decode_run(
     std::size_t tenant, unsigned batch, std::uint32_t kv_tokens) {
-  return phase_run(tenant, 1, batch, kv_bucket(tenant, kv_tokens));
+  const std::uint32_t bucket = kv_bucket(tenant, kv_tokens);
+  // Buckets are multiples of kKvBucket except the context cap, which
+  // rounds up to an ordinal no smaller bucket takes.
+  return phase_run(tenant, kDecode, batch, bucket,
+                   (bucket + kKvBucket - 1) / kKvBucket);
 }
 
 }  // namespace optiplet::serve

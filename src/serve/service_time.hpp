@@ -20,10 +20,11 @@
 /// pipeline stages the layer-granular serving engine executes (SET-style
 /// inter-layer pipelining).
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <optional>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -70,6 +71,12 @@ class ServiceTimeOracle {
   };
 
   ServiceTimeOracle(std::vector<Tenant> tenants, accel::Architecture arch);
+  // The phase index points into this oracle's own store, which a move
+  // carries along and a copy would not.
+  ServiceTimeOracle(const ServiceTimeOracle&) = delete;
+  ServiceTimeOracle& operator=(const ServiceTimeOracle&) = delete;
+  ServiceTimeOracle(ServiceTimeOracle&&) = default;
+  ServiceTimeOracle& operator=(ServiceTimeOracle&&) = default;
 
   /// Service profile of one batch of `batch` requests on `tenant`
   /// (simulating on first use, cached thereafter). The reference stays
@@ -88,7 +95,8 @@ class ServiceTimeOracle {
   /// Service profile of one MAC-bound prefill over `tokens` prompt tokens
   /// at batch size `batch` (weights stream once per batch, so prefill
   /// amortizes exactly like a fixed-shape batch). Requires the tenant to
-  /// be a transformer. Cached per (tenant, batch, tokens).
+  /// be a transformer. Cached per (tenant, batch, tokens); the reference
+  /// stays valid for the oracle's lifetime.
   [[nodiscard]] const core::RunResult& prefill_run(std::size_t tenant,
                                                    unsigned batch,
                                                    std::uint32_t tokens);
@@ -98,16 +106,18 @@ class ServiceTimeOracle {
   /// size `batch`. The KV length is bucketed (kv_bucket) before
   /// simulation so a growing cache hits a bounded number of distinct
   /// simulations; pass the raw length. Requires a transformer tenant.
+  /// The reference stays valid for the oracle's lifetime.
   [[nodiscard]] const core::RunResult& decode_run(std::size_t tenant,
                                                   unsigned batch,
                                                   std::uint32_t kv_tokens);
 
   /// The memoization bucket a raw KV length prices at for `tenant`: the
-  /// length rounded up to a multiple of 64, clamped into the model's
-  /// context window ([0, max_context - 1]). Monotone in kv_tokens, so
-  /// bucketed decode cost stays non-decreasing in context length.
+  /// length rounded up to a multiple of kKvBucket (64), clamped into the
+  /// model's context window ([0, max_context - 1]). Monotone in kv_tokens,
+  /// so bucketed decode cost stays non-decreasing in context length.
   [[nodiscard]] std::uint32_t kv_bucket(std::size_t tenant,
                                         std::uint32_t kv_tokens) const;
+  static constexpr std::uint32_t kKvBucket = 64;
 
   /// The tenant's TransformerSpec, or nullopt for fixed-shape tenants.
   [[nodiscard]] const std::optional<dnn::TransformerSpec>& transformer(
@@ -120,13 +130,19 @@ class ServiceTimeOracle {
   [[nodiscard]] std::uint64_t cache_misses() const { return misses_; }
 
  private:
-  /// (tenant, phase, batch, tokens): phase 0 = prefill, 1 = decode;
-  /// tokens is the prompt length (prefill) or KV bucket (decode).
-  using PhaseKey = std::tuple<std::size_t, int, unsigned, std::uint32_t>;
+  enum Phase : std::size_t { kPrefill, kDecode };
 
+  /// The priced points of one (tenant, phase), indexed [batch][entry]: the
+  /// entry is the prompt length (prefill) or the KV bucket's ordinal
+  /// (decode). Null until first priced; both dimensions grow on demand.
+  using PhaseIndex = std::vector<std::vector<const core::RunResult*>>;
+
+  /// The `entry` point of (tenant, phase, batch), which prices `tokens`
+  /// (prompt length or KV bucket).
   [[nodiscard]] const core::RunResult& phase_run(std::size_t tenant,
-                                                 int phase, unsigned batch,
-                                                 std::uint32_t tokens);
+                                                 Phase phase, unsigned batch,
+                                                 std::uint32_t tokens,
+                                                 std::size_t entry);
   [[nodiscard]] static LayerSchedule build_schedule(
       const core::RunResult& run);
 
@@ -134,7 +150,10 @@ class ServiceTimeOracle {
   accel::Architecture arch_;
   std::map<std::pair<std::size_t, unsigned>, core::RunResult> cache_;
   std::map<std::pair<std::size_t, unsigned>, LayerSchedule> schedules_;
-  std::map<PhaseKey, core::RunResult> phase_cache_;
+  std::vector<std::array<PhaseIndex, 2>> phase_index_;  ///< [tenant][phase]
+  /// Every priced phase point; a deque never moves its elements, so the
+  /// index and the references handed out stay valid as it grows.
+  std::deque<core::RunResult> phase_store_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

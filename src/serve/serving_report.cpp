@@ -52,8 +52,12 @@ void LatencyPool::summarize_into(Report& r, std::uint64_t batches,
   if (count_ > 0) {
     r.mean_latency_s = sum_s_ / static_cast<double>(count_);
     r.max_latency_s = max_s_;
-    // One working copy — a lone class's own samples need none — and each
-    // selection narrows to the prefix the previous one partitioned off.
+    // One working copy — a lone class's own samples need none. p50 selects
+    // over the whole sample, then p95 and p99 each only above the rank
+    // before them: about 1.55n element visits, where selecting p99 first
+    // and narrowing downwards visits 2.94n. A rank equal to the one before
+    // it is already in place; selecting it would start the range past its
+    // target (n = 2 has i50 = 0 and i95 = i99 = 1).
     std::vector<double> merged;
     if (classes_.size() > 1) {
       merged.reserve(count_);
@@ -66,9 +70,13 @@ void LatencyPool::summarize_into(Report& r, std::uint64_t batches,
     const std::size_t i99 = quantile_index(count_, 0.99);
     const std::size_t i95 = quantile_index(count_, 0.95);
     const std::size_t i50 = quantile_index(count_, 0.50);
-    std::nth_element(v.begin(), v.begin() + i99, v.end());
-    std::nth_element(v.begin(), v.begin() + i95, v.begin() + i99);
-    std::nth_element(v.begin(), v.begin() + i50, v.begin() + i95);
+    std::nth_element(v.begin(), v.begin() + i50, v.end());
+    if (i95 > i50) {
+      std::nth_element(v.begin() + i50 + 1, v.begin() + i95, v.end());
+    }
+    if (i99 > i95) {
+      std::nth_element(v.begin() + i95 + 1, v.begin() + i99, v.end());
+    }
     r.p50_s = v[i50];
     r.p95_s = v[i95];
     r.p99_s = v[i99];

@@ -848,7 +848,7 @@ struct Engine {
     report.metrics.repartitions += 1;
     report.metrics.repartition_resipi_s += write_s;
     report.ledger.charge_energy(
-        "serving.repartition",
+        power::Category::kServingRepartition,
         static_cast<double>(rewritten) *
             config.system.tech.photonic.pcm.write_energy_j);
     if (rec != nullptr) {
@@ -2437,7 +2437,7 @@ ServingReport simulate(const ServingConfig& config) {
                            0.0);
       }
       dark_s = std::min(dark_s, makespan - busy);
-      out.ledger.charge_power_for("serving.idle",
+      out.ledger.charge_power_for(power::Category::kServingIdle,
                                   plan.chiplet_active_power_w[c] *
                                       config.system.idle_power_fraction,
                                   makespan - busy - dark_s);
@@ -2447,9 +2447,11 @@ ServingReport simulate(const ServingConfig& config) {
           busy_fraction_sum / static_cast<double>(out.chiplet_busy_s.size());
     }
   }
-  const auto idle_it = out.ledger.entries().find("serving.idle");
-  if (idle_it != out.ledger.entries().end()) {
-    m.energy_j += idle_it->second.dynamic_energy_j;
+  // A category never charged reads 0 J, which the day curve below relies on.
+  const double idle_j =
+      out.ledger.entry(power::Category::kServingIdle).dynamic_energy_j;
+  if (out.ledger.charged(power::Category::kServingIdle)) {
+    m.energy_j += idle_j;
   }
   pool.summarize(m, batches, makespan);
   // Carbon proxy: total energy priced at the grid intensity [g CO2/kWh],
@@ -2468,9 +2470,6 @@ ServingReport simulate(const ServingConfig& config) {
     // apportioned by each bucket's overlap with the measured window. Each
     // bucket then prices at its midpoint intensity, so the curve exposes
     // when the energy was drawn, not just how much.
-    const double idle_j = idle_it != out.ledger.entries().end()
-                              ? idle_it->second.dynamic_energy_j
-                              : 0.0;
     const double window_s = engine.last_completion_s - first_arrival;
     for (DayPoint& p : out.day_curve) {
       const double lo = std::max(p.t0_s, first_arrival);

@@ -89,13 +89,13 @@ TEST(SystemSimulator, LedgerCategoriesPresent) {
   const SystemSimulator sim(default_system_config());
   const auto siph = sim.run(dnn::zoo::make_resnet50(),
                             Architecture::kSiph2p5D);
-  EXPECT_GT(siph.ledger.entries().count("compute.laser"), 0u);
-  EXPECT_GT(siph.ledger.entries().count("network.static"), 0u);
-  EXPECT_GT(siph.ledger.entries().count("memory.hbm_access"), 0u);
+  EXPECT_TRUE(siph.ledger.charged(power::Category::kComputeLaser));
+  EXPECT_TRUE(siph.ledger.charged(power::Category::kNetworkStatic));
+  EXPECT_TRUE(siph.ledger.charged(power::Category::kMemoryHbmAccess));
   const auto mono = sim.run(dnn::zoo::make_resnet50(),
                             Architecture::kMonolithicCrossLight);
-  EXPECT_GT(mono.ledger.entries().count("compute.die_static"), 0u);
-  EXPECT_GT(mono.ledger.entries().count("memory.ddr_access"), 0u);
+  EXPECT_TRUE(mono.ledger.charged(power::Category::kComputeDieStatic));
+  EXPECT_TRUE(mono.ledger.charged(power::Category::kMemoryDdrAccess));
 }
 
 TEST(SystemSimulator, MonolithicResidentModelSkipsDdr) {
@@ -103,14 +103,14 @@ TEST(SystemSimulator, MonolithicResidentModelSkipsDdr) {
   const SystemSimulator sim(default_system_config());
   const auto lenet = sim.run(dnn::zoo::make_lenet5(),
                              Architecture::kMonolithicCrossLight);
-  const auto it = lenet.ledger.entries().find("memory.ddr_access");
-  const double ddr =
-      it == lenet.ledger.entries().end() ? 0.0 : it->second.dynamic_energy_j;
-  EXPECT_DOUBLE_EQ(ddr, 0.0);
+  EXPECT_DOUBLE_EQ(
+      lenet.ledger.entry(power::Category::kMemoryDdrAccess).dynamic_energy_j,
+      0.0);
   const auto resnet = sim.run(dnn::zoo::make_resnet50(),
                               Architecture::kMonolithicCrossLight);
-  EXPECT_GT(resnet.ledger.entries().at("memory.ddr_access").dynamic_energy_j,
-            0.0);
+  EXPECT_GT(
+      resnet.ledger.entry(power::Category::kMemoryDdrAccess).dynamic_energy_j,
+      0.0);
 }
 
 TEST(SystemSimulator, MoreWavelengthsNeverSlower) {

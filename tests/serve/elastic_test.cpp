@@ -375,11 +375,13 @@ TEST(ElasticAccounting, EveryRepartitionChargesExactlyOneResipiWindow) {
   // The rewrite energy landed in its own ledger category, as an integral
   // number of gateway rewrites (a swap that moves no ownership boundary
   // rewrites zero gateways — the time window is still charged).
-  const auto it = report.ledger.entries().find("serving.repartition");
-  ASSERT_NE(it, report.ledger.entries().end());
+  ASSERT_TRUE(report.ledger.charged(power::Category::kServingRepartition));
   const double write_j =
       core::default_system_config().tech.photonic.pcm.write_energy_j;
-  const double rewrites = it->second.dynamic_energy_j / write_j;
+  const double rewrites =
+      report.ledger.entry(power::Category::kServingRepartition)
+          .dynamic_energy_j /
+      write_j;
   EXPECT_DOUBLE_EQ(rewrites, std::round(rewrites));
 }
 
@@ -404,9 +406,7 @@ TEST(ElasticGating, RemovesMeasuredIdleEnergyFromTheLedger) {
     EXPECT_GT(gated.metrics.gated_idle_s, 0.0);
     EXPECT_EQ(gated.metrics.completed, fixed.metrics.completed);
     const auto idle = [](const ServingReport& r) {
-      const auto it = r.ledger.entries().find("serving.idle");
-      return it == r.ledger.entries().end() ? 0.0
-                                            : it->second.dynamic_energy_j;
+      return r.ledger.entry(power::Category::kServingIdle).dynamic_energy_j;
     };
     EXPECT_LT(idle(gated), idle(fixed));
     EXPECT_LT(gated.metrics.energy_j, fixed.metrics.energy_j);

@@ -1,15 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdint>
+#include <set>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "cluster/cluster_simulator.hpp"
 #include "dnn/transformer.hpp"
+#include "dnn/zoo.hpp"
 #include "serve/arrivals.hpp"
+#include "serve/service_time.hpp"
 #include "serve/serving_simulator.hpp"
 #include "serve/tracegen.hpp"
+#include "util/rng.hpp"
 
 namespace optiplet::serve {
 namespace {
@@ -239,6 +246,69 @@ TEST(TransformerServing, TokenGeometryValidation) {
   // 2048-token window: mean 2000 with 10% spread overflows it.
   spec = transformer_spec(2000, 100, BatchPolicy::kNone, 50.0, 20);
   EXPECT_THROW((void)simulate(make_config(spec)), std::invalid_argument);
+}
+
+/// The fields a priced phase point is read for, as exact bit patterns.
+std::vector<std::uint64_t> fingerprint(const core::RunResult& run) {
+  std::vector<std::uint64_t> out = {
+      std::bit_cast<std::uint64_t>(run.latency_s),
+      std::bit_cast<std::uint64_t>(run.energy_j),
+      run.resipi_reconfigurations, run.layers.size()};
+  for (const auto& [name, entry] : run.ledger.entries()) {
+    out.push_back(std::bit_cast<std::uint64_t>(entry.dynamic_energy_j));
+    out.push_back(std::bit_cast<std::uint64_t>(entry.static_power_w));
+  }
+  return out;
+}
+
+TEST(ServiceTimeOracle, PhaseReferencesOutliveLaterPricing) {
+  // Two phase points are held by reference while 200 more distinct points
+  // are priced across batch sizes 1-16, every prompt length and every KV
+  // length up to the context window (the cap bucket included); each
+  // reference must keep its address and contents, and the oracle must
+  // count one miss per distinct (phase, batch, tokens) key.
+  const dnn::TransformerSpec spec = dnn::tiny_gpt_spec();
+  ServiceTimeOracle oracle(
+      {{dnn::zoo::by_name("TinyGPT"), core::default_system_config(), spec}},
+      accel::Architecture::kSiph2p5D);
+  const core::RunResult& prefill = oracle.prefill_run(0, 3, 40);
+  const core::RunResult& decode = oracle.decode_run(0, 2, 100);
+  const auto prefill_bits = fingerprint(prefill);
+  const auto decode_bits = fingerprint(decode);
+
+  // (phase, batch, prompt length or KV bucket): 0 = prefill, 1 = decode.
+  std::set<std::tuple<int, unsigned, std::uint32_t>> keys = {
+      {0, 3, 40}, {1, 2, oracle.kv_bucket(0, 100)}};
+  std::uint64_t lookups = 2;
+  const auto price_decode = [&](unsigned batch, std::uint32_t kv) {
+    (void)oracle.decode_run(0, batch, kv);
+    keys.emplace(1, batch, oracle.kv_bucket(0, kv));
+    ++lookups;
+  };
+  price_decode(2, spec.max_context - 1);  // the cap bucket
+  price_decode(2, spec.max_context - 64);  // the grid bucket below it
+  util::Xoshiro256 rng(5);
+  while (keys.size() < 202) {
+    const auto batch = static_cast<unsigned>(1 + rng.next_below(16));
+    if (rng.next_bool(0.5)) {
+      const auto tokens =
+          static_cast<std::uint32_t>(1 + rng.next_below(spec.max_context));
+      (void)oracle.prefill_run(0, batch, tokens);
+      keys.emplace(0, batch, tokens);
+      ++lookups;
+    } else {
+      const auto kv =
+          static_cast<std::uint32_t>(rng.next_below(spec.max_context));
+      price_decode(batch, kv);
+    }
+  }
+  EXPECT_EQ(&oracle.prefill_run(0, 3, 40), &prefill);
+  EXPECT_EQ(&oracle.decode_run(0, 2, 65), &decode);  // same bucket as 100
+  lookups += 2;
+  EXPECT_EQ(fingerprint(prefill), prefill_bits);
+  EXPECT_EQ(fingerprint(decode), decode_bits);
+  EXPECT_EQ(oracle.cache_misses(), keys.size());
+  EXPECT_EQ(oracle.cache_hits(), lookups - keys.size());
 }
 
 }  // namespace
