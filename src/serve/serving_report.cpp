@@ -54,10 +54,10 @@ void LatencyPool::summarize_into(Report& r, std::uint64_t batches,
     r.max_latency_s = max_s_;
     // One working copy — a lone class's own samples need none. p50 selects
     // over the whole sample, then p95 and p99 each only above the rank
-    // before them: about 1.55n element visits, where selecting p99 first
-    // and narrowing downwards visits 2.94n. A rank equal to the one before
-    // it is already in place; selecting it would start the range past its
-    // target (n = 2 has i50 = 0 and i95 = i99 = 1).
+    // before them: ranges of about 1.55n elements in all, where selecting
+    // p99 first and narrowing downwards spans 2.94n. A rank equal to the
+    // one before it is already in place; selecting it would start the
+    // range past its target (n = 2 has i50 = 0 and i95 = i99 = 1).
     std::vector<double> merged;
     if (classes_.size() > 1) {
       merged.reserve(count_);
