@@ -263,10 +263,10 @@ std::vector<std::uint64_t> fingerprint(const core::RunResult& run) {
 
 TEST(ServiceTimeOracle, PhaseReferencesOutliveLaterPricing) {
   // Two phase points are held by reference while 200 more distinct points
-  // are priced across batch sizes 1-16, every prompt length and every KV
-  // length up to the context window (the cap bucket included); each
-  // reference must keep its address and contents, and the oracle must
-  // count one miss per distinct (phase, batch, tokens) key.
+  // are priced at batch sizes 1-16 and at prompt and KV lengths drawn over
+  // the whole context window (plus the cap bucket and the one below it);
+  // each reference must keep its address and contents, and the oracle
+  // must count one miss per distinct (phase, batch, tokens) key.
   const dnn::TransformerSpec spec = dnn::tiny_gpt_spec();
   ServiceTimeOracle oracle(
       {{dnn::zoo::by_name("TinyGPT"), core::default_system_config(), spec}},
