@@ -22,8 +22,8 @@ bool BatchQueue::ready(double now, bool arrivals_done) const {
     case BatchPolicy::kNone:
     case BatchPolicy::kContinuous:
       // Continuous batching admits from the queue at token boundaries;
-      // the queue itself is ready whenever it holds a request (and a
-      // fixed-shape tenant under kContinuous degrades to kNone).
+      // the queue itself is ready whenever it holds a request. Serving
+      // refuses kContinuous on a fixed-shape tenant (check_serving_rules).
       return true;
     case BatchPolicy::kFixedSize:
       return queue_.size() >= config_.max_batch;

@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -53,7 +54,7 @@ enum class EventKind : std::uint16_t {
   kRetry,         ///< backoff re-offer of Engine::retries[slot]
   kDeadline,      ///< kDeadline dispatch timer
   kBatchEnd,      ///< whole batch Engine::batches[slot] left the executor
-  kIterationEnd,  ///< continuous iteration over TenantState::fresh ended
+  kIterationEnd,  ///< continuous iteration of TenantState::active ended
   kStageEnd,      ///< current stage of pipelined Engine::batches[slot] ended
   kMetricsTick,   ///< periodic metric snapshot (Engine::tick_period_s)
   kFault,         ///< config.elastic.faults[slot] fires
@@ -159,16 +160,34 @@ struct Resource {
   std::size_t last_tenant = kNoTenant;
 };
 
-/// One admitted request in a continuous tenant's running set.
+/// One admitted request in a continuous tenant's running set. It has
+/// finished once its KV length reaches the request's total tokens.
 struct ActiveSeq {
   Request request;
-  std::uint32_t decode_left = 0;
   /// Tokens resident in the KV cache: 0 until the prefill iteration lands
   /// the whole prompt, then +1 per decode step.
   std::uint32_t kv_tokens = 0;
 };
 
-/// Mutable per-tenant simulation state.
+/// Mean-shape service time of a variable-length batch of `batch`
+/// requests (padding semantics): one prefill at the mean prompt (at least
+/// one token), then one decode step per mean generated token, folded
+/// left to right. Prices the derived SLA and the kSlaShed estimate.
+double mean_shape_batch_s(ServiceTimeOracle& oracle, std::size_t t,
+                          unsigned batch, std::uint32_t prefill_mean,
+                          std::uint32_t decode_mean) {
+  const std::uint32_t pm = std::max<std::uint32_t>(prefill_mean, 1);
+  double total = oracle.prefill_run(t, batch, pm).latency_s;
+  for (std::uint32_t k = 0; k < decode_mean; ++k) {
+    total += oracle.decode_run(t, batch, pm + k).latency_s;
+  }
+  return total;
+}
+
+/// Mutable per-tenant simulation state: what a run changes, plus what
+/// set-up derives once. Fixed tenant values are read where they live,
+/// the tenant's TenantSetup (Engine::config.tenants[t]) or its queue's
+/// BatchingConfig (max_batch already capped to the KV slots).
 struct TenantState {
   BatchQueue queue;
   std::vector<double> arrivals;  ///< absolute times, ascending
@@ -178,16 +197,11 @@ struct TenantState {
   bool timer_armed = false;
 
   // --- closed-loop client pool ---
-  bool closed_loop = false;
-  std::uint64_t issue_budget = 0;  ///< total requests the users may issue
-  std::uint64_t issued = 0;        ///< think timers started (<= budget)
-  std::uint64_t arrived = 0;       ///< issued requests that have arrived
-  double think_mean_s = 0.0;
+  std::uint64_t issued = 0;   ///< think timers started (<= requests)
+  std::uint64_t arrived = 0;  ///< issued requests that have arrived
   util::Xoshiro256 think_rng{0};
 
-  // --- admission control / priority ---
-  AdmissionPolicy admission = AdmissionPolicy::kAdmitAll;
-  unsigned priority = 0;
+  // --- admission control ---
   /// When the executor is expected to accept its next batch — the
   /// oracle-backed backlog estimate kSlaShed's shed decision runs on.
   double est_free_s = 0.0;
@@ -217,7 +231,6 @@ struct TenantState {
   /// re-partitioning (separate from interarrival_ema_s, whose fixed
   /// smoothing feeds the admission estimate).
   double gap_ema_s = 0.0;
-  double ema_last_s = -1.0;
   /// Gating: when the executor went idle (<0 = busy or gating off).
   double idle_since_s = -1.0;
   /// Retry backoff jitter; isolated stream (seed ^ "retry") so retries
@@ -228,13 +241,12 @@ struct TenantState {
   /// Requests carry token shapes and are priced per phase (prefill +
   /// decode steps) instead of through the fixed-shape batch run.
   bool var_length = false;
-  /// Mean token lengths (synthetic draws and the admission estimate).
+  /// Mean token lengths (synthetic draws and the admission estimate):
+  /// the setup's, or a replayed trace's means when it sets none.
   std::uint32_t prefill_mean = 0;
   std::uint32_t decode_mean = 0;
-  double token_spread = 0.0;
   util::Xoshiro256 shape_rng{0};
-  /// Replayed per-request shapes, consumed in arrival order.
-  std::vector<RequestShape> trace_shapes;
+  /// Next of the setup's replayed shapes, consumed in arrival order.
   std::uint64_t shape_cursor = 0;
   std::uint64_t kv_bytes_per_token = 0;
   std::uint64_t kv_budget_bytes = 0;
@@ -249,14 +261,11 @@ struct TenantState {
   std::map<unsigned, double> nominal_cache;
 
   // --- continuous (iteration-level) batching ---
-  bool continuous = false;
-  /// Concurrent decode slots the KV budget and max_batch allow (the
-  /// admission estimate's amortization factor).
-  unsigned cont_slots = 1;
   std::vector<ActiveSeq> active;  ///< the running decode set
-  /// Indices into `active` of the sequences the running iteration
-  /// prefills (empty for a decode iteration).
-  std::vector<std::size_t> fresh;
+  /// Sequences admitted but not yet prefilled: always the last `fresh`
+  /// entries of `active`, since admissions happen only between
+  /// iterations. The running iteration prefills them (0: it decodes).
+  std::size_t fresh = 0;
   bool iter_running = false;  ///< at most one iteration per tenant
   /// Busy-period anchor + running accumulator: iteration k ends at
   /// exactly origin + (accum += dt_k), so an unstalled single-request
@@ -515,21 +524,16 @@ struct Engine {
     }
   }
 
-  /// Mean-shape batch service time of a variable-length tenant at batch
-  /// size `batch` (padding semantics: prefill at the mean prompt, one
-  /// decode step per mean generated token). Feeds the kSlaShed estimate
-  /// and the derived SLA; memoized per batch size.
+  /// mean_shape_batch_s of a variable-length tenant at the current
+  /// oracle, memoized per batch size. Feeds the kSlaShed estimate.
   double nominal_batch_s(std::size_t t, unsigned batch) {
     TenantState& ts = tenants[t];
     if (const auto it = ts.nominal_cache.find(batch);
         it != ts.nominal_cache.end()) {
       return it->second;
     }
-    const std::uint32_t pm = std::max<std::uint32_t>(ts.prefill_mean, 1);
-    double total = oracle->prefill_run(t, batch, pm).latency_s;
-    for (std::uint32_t k = 0; k < ts.decode_mean; ++k) {
-      total += oracle->decode_run(t, batch, pm + k).latency_s;
-    }
+    const double total = mean_shape_batch_s(*oracle, t, batch,
+                                            ts.prefill_mean, ts.decode_mean);
     ts.nominal_cache.emplace(batch, total);
     return total;
   }
@@ -559,7 +563,7 @@ struct Engine {
     TenantState& ts = tenants[t];
     ts.waiting_shared = false;
     ts.holds_shared = true;
-    if (ts.continuous) {
+    if (ts.queue.config().policy == BatchPolicy::kContinuous) {
       continuous_iterate(t);
     } else {
       begin_execution(t, std::exchange(ts.pending, {}));
@@ -604,7 +608,7 @@ struct Engine {
       obs::MetricsRegistry& m = rec->metrics();
       m.add("serve.completed", static_cast<double>(batch.size()));
       const std::string cls =
-          "serve.class" + std::to_string(ts.priority) + ".latency";
+          "serve.class" + std::to_string(ts.report.priority) + ".latency";
       for (const Request& r : batch) {
         m.observe("serve.latency", now - r.arrival_s);
         m.observe(cls, now - r.arrival_s);
@@ -864,21 +868,22 @@ struct Engine {
     }
   }
 
-  /// Update the EMA load signal on an arrival and trigger a re-partition
-  /// once the demand shares drift past the threshold (cooldown-limited).
-  void elastic_observe_arrival(std::size_t t, double now) {
+  /// Update the EMA load signal on an arrival `gap` after the tenant's
+  /// previous one (none for its first) and trigger a re-partition once the
+  /// demand shares drift past the threshold (cooldown-limited).
+  void elastic_observe_arrival(std::size_t t, double now,
+                               std::optional<double> gap) {
     TenantState& ts = tenants[t];
-    if (ts.ema_last_s >= 0.0) {
-      const double gap = now - ts.ema_last_s;
+    if (gap) {
       if (ts.gap_ema_s <= 0.0) {
-        ts.gap_ema_s = gap;
+        ts.gap_ema_s = *gap;
       } else {
         // Irregular-sample EMA: weight decays with the elapsed gap.
-        const double alpha = 1.0 - std::exp(-gap / config.elastic.ema_tau_s);
-        ts.gap_ema_s = alpha * gap + (1.0 - alpha) * ts.gap_ema_s;
+        const double alpha =
+            1.0 - std::exp(-*gap / config.elastic.ema_tau_s);
+        ts.gap_ema_s = alpha * *gap + (1.0 - alpha) * ts.gap_ema_s;
       }
     }
-    ts.ema_last_s = now;
     if (last_repartition_s < 0.0) {
       last_repartition_s = now;  // cooldown clock starts at first arrival
       return;
@@ -1015,18 +1020,19 @@ struct Engine {
   /// shed, and poke the dispatcher. Shared by every arrival source.
   void arrive(std::size_t t) {
     TenantState& ts = tenants[t];
+    const TenantSetup& setup = config.tenants[t];
     const double now = events.now();
     first_arrival_s = std::min(first_arrival_s, now);
     Request request{ts.next_id++, now, {}};
     if (ts.var_length) {
       // Replayed shapes are consumed in arrival-event order; rows without
       // token columns (and synthetic arrivals) draw around the means.
-      if (ts.shape_cursor < ts.trace_shapes.size()) {
-        request.shape = ts.trace_shapes[ts.shape_cursor++];
+      if (ts.shape_cursor < setup.trace_shapes.size()) {
+        request.shape = setup.trace_shapes[ts.shape_cursor++];
       }
       if (!request.shape.variable_length()) {
         request.shape = draw_request_shape(ts.prefill_mean, ts.decode_mean,
-                                           ts.token_spread, ts.shape_rng);
+                                           setup.token_spread, ts.shape_rng);
       }
       OPTIPLET_REQUIRE(request.shape.variable_length(),
                        "variable-length tenant received a request without "
@@ -1040,15 +1046,16 @@ struct Engine {
     if (DayPoint* bucket = curve_bucket(now)) {
       bucket->offered += 1;
     }
+    std::optional<double> gap;
     if (ts.last_arrival_s >= 0.0) {
-      const double gap = now - ts.last_arrival_s;
+      gap = now - ts.last_arrival_s;
       ts.interarrival_ema_s = ts.interarrival_ema_s == 0.0
-                                  ? gap
-                                  : 0.25 * gap + 0.75 * ts.interarrival_ema_s;
+                                  ? *gap
+                                  : 0.25 * *gap + 0.75 * ts.interarrival_ema_s;
     }
     ts.last_arrival_s = now;
     if (config.elastic.repartitioning()) {
-      elastic_observe_arrival(t, now);
+      elastic_observe_arrival(t, now, gap);
     }
     offer(t, std::move(request), 0);
   }
@@ -1060,7 +1067,8 @@ struct Engine {
   void offer(std::size_t t, Request request, unsigned attempt) {
     TenantState& ts = tenants[t];
     const double now = events.now();
-    if (ts.admission == AdmissionPolicy::kSlaShed && !admit(t)) {
+    if (config.tenants[t].admission == AdmissionPolicy::kSlaShed &&
+        !admit(t)) {
       if (attempt < config.elastic.retry_max_attempts) {
         // Seeded exponential backoff with jitter: attempt k re-offers
         // after backoff * 2^k * U[1, 2).
@@ -1124,16 +1132,17 @@ struct Engine {
             ? batch_s / static_cast<double>(
                             std::max<std::size_t>(ts.pipeline_depth, 1))
             : batch_s;
-    if (ts.continuous) {
-      // Continuous batching drains the queue at slot parallelism: queued
-      // requests complete one amortized service apart, not back to back.
-      amortized_s =
-          batch_s / static_cast<double>(std::max<unsigned>(ts.cont_slots, 1));
+    if (batching.policy == BatchPolicy::kContinuous) {
+      // Continuous batching drains the queue at slot parallelism (the
+      // KV-capped max_batch): queued requests complete one amortized
+      // service apart, not back to back.
+      amortized_s = batch_s / static_cast<double>(batching.max_batch);
     }
     const auto queued_batches = static_cast<double>(ts.queue.size() / cap);
     double backlog_start_s = ts.est_free_s;
     if (ts.needs_shared) {
-      backlog_start_s = std::max(backlog_start_s, shared_est_for(ts.priority));
+      backlog_start_s =
+          std::max(backlog_start_s, shared_est_for(ts.report.priority));
     }
     // The request joins the tail partial batch at `position`; `need` more
     // arrivals fill it.
@@ -1177,11 +1186,13 @@ struct Engine {
   /// open-loop tenants and once the budget is spent.
   void issue_closed(std::size_t t) {
     TenantState& ts = tenants[t];
-    if (!ts.closed_loop || ts.issued >= ts.issue_budget) {
+    const TenantSetup& setup = config.tenants[t];
+    if (setup.source != ArrivalSource::kClosedLoop ||
+        ts.issued >= setup.requests) {
       return;
     }
     ts.issued += 1;
-    const double think_s = ts.think_rng.next_exponential(ts.think_mean_s);
+    const double think_s = ts.think_rng.next_exponential(setup.think_s);
     events.schedule_in(think_s, make_event(EventKind::kThinkEnd, t));
   }
 
@@ -1190,7 +1201,7 @@ struct Engine {
     TenantState& ts = tenants[t];
     ts.arrived += 1;
     // The last budgeted issue has arrived: flush partial batches.
-    if (ts.issued >= ts.issue_budget && ts.arrived == ts.issued) {
+    if (ts.issued >= config.tenants[t].requests && ts.arrived == ts.issued) {
       ts.arrivals_done = true;
     }
     arrive(t);
@@ -1224,7 +1235,7 @@ struct Engine {
   /// execution is the pipelined schedule.
   void try_dispatch(std::size_t t) {
     TenantState& ts = tenants[t];
-    if (ts.continuous) {
+    if (ts.queue.config().policy == BatchPolicy::kContinuous) {
       continuous_step(t);
       return;
     }
@@ -1316,7 +1327,7 @@ struct Engine {
     const double end = start + service_s * derate_mult;
     ts.est_free_s = end;
     if (ts.needs_shared) {
-      note_shared_busy_until(ts.priority, end);
+      note_shared_busy_until(ts.report.priority, end);
     }
     charge_busy(t, start, end);
     count_dispatch(t, batch_size, run);
@@ -1449,14 +1460,12 @@ struct Engine {
       OPTIPLET_ASSERT(one.size() == 1,
                       "continuous admission takes one request at a time");
       kv_update(t, footprint, true);
-      ActiveSeq seq;
-      seq.request = one.front();
-      seq.decode_left = seq.request.shape.decode_tokens;
-      ts.active.push_back(seq);
+      ts.active.push_back(ActiveSeq{one.front()});
+      ts.fresh += 1;
       if (rec != nullptr && rec->tracing()) {
-        rec->trace().add_complete("queue", "queue", seq.request.arrival_s,
+        rec->trace().add_complete("queue", "queue", one.front().arrival_s,
                                   now, pid, tenant_tracks[t],
-                                  {obs::arg("request", seq.request.id)});
+                                  {obs::arg("request", one.front().id)});
       }
     }
     if (ts.active.empty()) {
@@ -1471,45 +1480,39 @@ struct Engine {
   }
 
   /// Compose, price and schedule one iteration over the current set: a
-  /// prefill iteration over the sequences not yet prefilled (`fresh`; the
-  /// prompts land in the bubble before decoding resumes), a decode
-  /// iteration over the whole set otherwise. Iteration ends accumulate as
-  /// origin + (accum += dt): the identical left-to-right fold
-  /// begin_execution_tokens performs, so a lone request's completion
+  /// prefill iteration over the sequences not yet prefilled (the `fresh`
+  /// tail; the prompts land in the bubble before decoding resumes), a
+  /// decode iteration over the whole set otherwise. Iteration ends
+  /// accumulate as origin + (accum += dt): the identical left-to-right
+  /// fold begin_execution_tokens performs, so a lone request's completion
   /// matches the static kNone price bit-for-bit.
   void continuous_iterate(std::size_t t) {
     TenantState& ts = tenants[t];
     OPTIPLET_ASSERT(!ts.iter_running,
                     "continuous tenant started a second iteration");
-    std::vector<std::size_t>& fresh = ts.fresh;
-    fresh.clear();
-    for (std::size_t i = 0; i < ts.active.size(); ++i) {
-      if (ts.active[i].kv_tokens == 0) {
-        fresh.push_back(i);
-      }
-    }
-    const bool prefill_phase = !fresh.empty();
+    const bool prefill_phase = ts.fresh > 0;
+    const auto size =
+        static_cast<unsigned>(prefill_phase ? ts.fresh : ts.active.size());
     double start = elastic_wake(t, events.now());
     const core::RunResult* run = nullptr;
     double resipi_window_s = 0.0;
     if (prefill_phase) {
       std::uint32_t pmax = 1;
-      for (const std::size_t i : fresh) {
+      const std::size_t n = ts.active.size();
+      for (std::size_t i = n - size; i < n; ++i) {
         pmax = std::max(pmax, ts.active[i].request.shape.prefill_tokens);
       }
-      run = &oracle->prefill_run(t, static_cast<unsigned>(fresh.size()),
-                                pmax);
+      run = &oracle->prefill_run(t, size, pmax);
       // The prefill retunes gateways exactly like a batch dispatch;
       // decode iterations reuse the configuration and never retune.
       resipi_window_s = reserve_batch_window(t, *run, start);
-      count_dispatch(t, static_cast<unsigned>(fresh.size()), *run);
+      count_dispatch(t, size, *run);
     } else {
       std::uint32_t kv_max = 0;
       for (const ActiveSeq& seq : ts.active) {
         kv_max = std::max(kv_max, seq.kv_tokens);
       }
-      run = &oracle->decode_run(t, static_cast<unsigned>(ts.active.size()),
-                               kv_max);
+      run = &oracle->decode_run(t, size, kv_max);
     }
     // Busy-period anchoring: contiguous iterations telescope through the
     // accumulator; any stall (idle gap, shared wait, ReSiPI wait)
@@ -1527,13 +1530,11 @@ struct Engine {
       // Only the current iteration is committed shared occupancy —
       // admission control must not charge other tenants for this
       // tenant's whole open-ended decode horizon.
-      note_shared_busy_until(ts.priority, end);
+      note_shared_busy_until(ts.report.priority, end);
     }
     charge_busy(t, start, end);
     charge_energy(ts.energy_accum_j, start, run->energy_j);
     report.ledger.merge(run->ledger);
-    const auto size =
-        static_cast<unsigned>(prefill_phase ? fresh.size() : ts.active.size());
     if (rec != nullptr && rec->tracing()) {
       rec->trace().add_complete(
           prefill_phase ? "prefill" : "decode", "phase", start, end, pid,
@@ -1546,44 +1547,51 @@ struct Engine {
     events.schedule_at(end, make_event(EventKind::kIterationEnd, t));
   }
 
-  /// Token boundary: land the iteration's tokens, retire finished
-  /// sequences, release/grant the shared pool, and schedule the next
-  /// iteration (which refills `fresh`, so it is read first).
+  /// Token boundary: land the iteration's tokens on the sequences it
+  /// touched (the fresh tail after a prefill, every sequence after a
+  /// decode step), retire the finished ones in set order, release/grant
+  /// the shared pool, and schedule the next iteration (whose admissions
+  /// become the new fresh tail).
   void end_cont_iteration(std::size_t t) {
     TenantState& ts = tenants[t];
     const double now = events.now();
     ts.iter_running = false;
-    if (!ts.fresh.empty()) {
-      for (const std::size_t i : ts.fresh) {
-        ActiveSeq& seq = ts.active[i];
-        seq.kv_tokens = seq.request.shape.prefill_tokens;
-        ts.ttfts.push_back(now - seq.request.arrival_s);
-        if (rec != nullptr && rec->metering()) {
-          rec->metrics().observe("serve.ttft",
-                                 now - seq.request.arrival_s);
-        }
-      }
-    } else {
-      for (ActiveSeq& seq : ts.active) {
-        seq.kv_tokens += 1;
-        seq.decode_left -= 1;
-        ts.decode_tokens_done += 1;
-      }
+    std::vector<ActiveSeq>& active = ts.active;
+    // A prefill touched only the fresh tail, a decode step every sequence.
+    const bool prefilled = ts.fresh > 0;
+    const std::size_t first = prefilled ? active.size() - ts.fresh : 0;
+    ts.fresh = 0;
+    if (!prefilled) {
+      ts.decode_tokens_done += active.size();
     }
     std::vector<Request> done;
     std::uint64_t released = 0;
-    for (std::size_t i = 0; i < ts.active.size();) {
-      const ActiveSeq& seq = ts.active[i];
-      if (seq.kv_tokens >= seq.request.shape.prefill_tokens &&
-          seq.decode_left == 0) {
-        done.push_back(seq.request);
-        released += footprint_bytes(ts, seq.request.shape);
-        ts.active.erase(ts.active.begin() +
-                        static_cast<std::ptrdiff_t>(i));
+    std::size_t kept = first;
+    for (std::size_t i = first; i < active.size(); ++i) {
+      ActiveSeq& seq = active[i];
+      const Request& request = seq.request;
+      if (prefilled) {
+        seq.kv_tokens = request.shape.prefill_tokens;
+        ts.ttfts.push_back(now - request.arrival_s);
+        if (rec != nullptr && rec->metering()) {
+          rec->metrics().observe("serve.ttft", now - request.arrival_s);
+        }
       } else {
-        ++i;
+        seq.kv_tokens += 1;
+      }
+      if (seq.kv_tokens == request.shape.total_tokens()) {
+        done.push_back(request);
+        released += footprint_bytes(ts, request.shape);
+      } else {
+        // Order-preserving compaction. Skip the self-copy: it compiles
+        // to a memmove call per sequence.
+        if (kept != i) {
+          active[kept] = seq;
+        }
+        ++kept;
       }
     }
+    active.resize(kept);
     if (!done.empty()) {
       kv_update(t, released, false);
       retire_requests(t, done, now);
@@ -1728,7 +1736,7 @@ struct Engine {
             : start + (s.end_offset_s - s.start_offset_s) + handoff_s;
     if (r.shared) {
       // Feed the admission estimate's cross-tenant contention term.
-      note_shared_busy_until(ts.priority, end);
+      note_shared_busy_until(ts.report.priority, end);
     }
 
     // Busy time is charged to the whole occupancy; the batch record audits
@@ -1770,7 +1778,8 @@ struct Engine {
       return;
     }
     const auto rank = [this](const Waiter& w) {
-      return std::pair(tenants[w.tenant].priority, w.stage == kNoSlot);
+      return std::pair(tenants[w.tenant].report.priority,
+                       w.stage == kNoSlot);
     };
     auto best = r.waiters.begin();
     for (auto it = std::next(best); it != r.waiters.end(); ++it) {
@@ -2023,20 +2032,19 @@ ColocatedSetup make_colocated_setup(
     const core::SystemConfig& system, accel::Architecture arch,
     const std::vector<std::string>& model_names) {
   ColocatedSetup setup;
-  std::vector<TenantDemand> demands;
   setup.models.reserve(model_names.size());
   for (std::size_t t = 0; t < model_names.size(); ++t) {
     setup.models.push_back(dnn::zoo::by_name(model_names[t]));
     TenantDemand demand;
     demand.needed_kinds = needed_kinds(
         dnn::compute_workload(setup.models.back(), system.parameter_bits));
-    demands.push_back(std::move(demand));
+    setup.demands.push_back(std::move(demand));
   }
 
   const bool monolithic = arch == accel::Architecture::kMonolithicCrossLight;
-  setup.plan = monolithic
-                   ? monolithic_plan(system, demands)
-                   : partition_pool(system.compute_2p5d, demands, system.tech);
+  setup.plan = monolithic ? monolithic_plan(system, setup.demands)
+                          : partition_pool(system.compute_2p5d, setup.demands,
+                                           system.tech);
 
   // Service-time oracle: each tenant simulates on its own partition.
   setup.oracle_tenants.reserve(model_names.size());
@@ -2104,12 +2112,7 @@ ServingReport simulate(const ServingConfig& config) {
                             1.0 / static_cast<double>(model_names.size()));
   if (pool_elastic) {
     // Keep the demand skeleton so re-partitions only swap the weights.
-    for (std::size_t t = 0; t < setup.models.size(); ++t) {
-      TenantDemand demand;
-      demand.needed_kinds = needed_kinds(dnn::compute_workload(
-          setup.models[t], config.system.parameter_bits));
-      engine.base_demands.push_back(std::move(demand));
-    }
+    engine.base_demands = std::move(setup.demands);
     engine.base_models = std::move(setup.models);
   }
   engine.tenants.reserve(config.tenants.size());
@@ -2156,16 +2159,13 @@ ServingReport simulate(const ServingConfig& config) {
           batching.max_batch, slots));
     }
     TenantState state(batching);
-    state.closed_loop = setup.source == ArrivalSource::kClosedLoop;
-    if (state.closed_loop) {
+    if (setup.source == ArrivalSource::kClosedLoop) {
       OPTIPLET_REQUIRE(!setup.replay_trace,
                        "closed-loop arrivals cannot replay a trace");
       OPTIPLET_REQUIRE(setup.users >= 1, "closed loop needs >= 1 user");
       OPTIPLET_REQUIRE(setup.think_s >= 0.0, "negative think time");
-      state.issue_budget = setup.requests;
-      state.think_mean_s = setup.think_s;
       state.think_rng = util::Xoshiro256(setup.seed);
-      state.arrivals_done = state.issue_budget == 0;
+      state.arrivals_done = setup.requests == 0;
     } else {
       state.arrivals =
           setup.replay_trace
@@ -2174,8 +2174,6 @@ ServingReport simulate(const ServingConfig& config) {
                                  setup.seed);
       state.arrivals_done = state.arrivals.empty();
     }
-    state.admission = setup.admission;
-    state.priority = setup.priority;
     state.needs_shared = !plan.tenants[t].shared_kinds.empty();
     state.occupancy = plan.occupancy(t);
     state.owned = plan.tenants[t].owned_chiplets;
@@ -2187,20 +2185,13 @@ ServingReport simulate(const ServingConfig& config) {
       state.var_length = true;
       state.prefill_mean = prefill_mean;
       state.decode_mean = decode_mean;
-      state.token_spread = setup.token_spread;
       state.shape_rng = util::Xoshiro256(setup.seed ^ 0x746f6b656eULL);
-      state.trace_shapes = setup.trace_shapes;
       state.kv_bytes_per_token = kv_per_token;
       state.kv_budget_bytes = kv_budget;
-      state.continuous = batching.policy == BatchPolicy::kContinuous;
-      state.cont_slots = batching.max_batch;
       // The mean-shape single-request price pins the effective SLA (and
       // pre-warms the phase cache with the reference service times).
-      const std::uint32_t pm = std::max<std::uint32_t>(prefill_mean, 1);
-      double nominal_s = oracle.prefill_run(t, 1, pm).latency_s;
-      for (std::uint32_t k = 0; k < decode_mean; ++k) {
-        nominal_s += oracle.decode_run(t, 1, pm + k).latency_s;
-      }
+      const double nominal_s =
+          mean_shape_batch_s(oracle, t, 1, prefill_mean, decode_mean);
       state.report.sla_s =
           setup.sla_s > 0.0 ? setup.sla_s : 10.0 * nominal_s;
     } else {
@@ -2306,14 +2297,14 @@ ServingReport simulate(const ServingConfig& config) {
     }
   }
   for (std::size_t t = 0; t < config.tenants.size(); ++t) {
-    TenantState& ts = engine.tenants[t];
-    if (ts.closed_loop) {
+    const TenantSetup& setup = config.tenants[t];
+    if (setup.source == ArrivalSource::kClosedLoop) {
       // Every user starts in a think phase, so the pool desynchronizes
       // naturally; issue_closed() stops at the tenant's budget.
-      for (unsigned u = 0; u < config.tenants[t].users; ++u) {
+      for (unsigned u = 0; u < setup.users; ++u) {
         engine.issue_closed(t);
       }
-    } else if (!ts.arrivals.empty()) {
+    } else if (!engine.tenants[t].arrivals.empty()) {
       engine.schedule_arrival(t);
     }
   }

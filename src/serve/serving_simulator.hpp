@@ -172,6 +172,8 @@ struct ServingConfig {
 /// applied (monolithic: every tenant on the shared die).
 struct ColocatedSetup {
   std::vector<dnn::Model> models;
+  /// Each model's MAC-kind demand at weight 1: what `plan` partitions.
+  std::vector<TenantDemand> demands;
   ColocationPlan plan;
   std::vector<ServiceTimeOracle::Tenant> oracle_tenants;
 };

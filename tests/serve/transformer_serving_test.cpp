@@ -117,6 +117,23 @@ TEST(TransformerServing, ContinuousSingleUserMatchesNoBatchExactly) {
   EXPECT_EQ(none.metrics.energy_j, iter.metrics.energy_j);
 }
 
+TEST(TransformerServing, ContinuousPrefillOnlyRetiresInItsPrefillIteration) {
+  // A request with no generated tokens is finished the moment its prompt
+  // lands, so under `cont` every sequence retires in its own prefill
+  // iteration and no decode iteration ever runs.
+  ServingSpec spec =
+      transformer_spec(64, 0, BatchPolicy::kContinuous, 300.0, 200);
+  spec.token_spread = 0.5;
+  spec.max_batch = 8;
+  const auto report = simulate(make_config(spec, /*record_batches=*/true));
+  EXPECT_EQ(report.metrics.completed, report.metrics.offered);
+  EXPECT_EQ(report.metrics.decode_tps, 0.0);
+  EXPECT_EQ(report.metrics.ttft_p99_s, report.metrics.p99_s);
+  // Every iteration is recorded, but only prefills count as batches.
+  ASSERT_EQ(report.tenants.size(), 1u);
+  EXPECT_EQ(report.batches.size(), report.tenants[0].batches);
+}
+
 TEST(TransformerServing, KvBudgetCapsConcurrentDecodeSlots) {
   // 8 MiB budget, 288-token final context at 8 KiB/token = 2.25 MiB per
   // request -> exactly 3 concurrent slots, however large max_batch is.
