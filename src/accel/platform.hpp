@@ -19,6 +19,7 @@
 
 #include "accel/chiplet.hpp"
 #include "power/tech_params.hpp"
+#include "util/names.hpp"
 
 namespace optiplet::accel {
 
@@ -29,13 +30,23 @@ enum class Architecture {
   kSiph2p5D,
 };
 
+/// The names are the paper's platform labels; the CLIs take the short
+/// spellings.
+inline constexpr util::NameRow<Architecture> kArchitectureNames[] = {
+    {Architecture::kMonolithicCrossLight,
+     "CrossLight",
+     {"mono", "crosslight", "CrossLight"}},
+    {Architecture::kElec2p5D,
+     "2.5D-CrossLight-Elec",
+     {"elec", "2.5D-CrossLight-Elec"}},
+    {Architecture::kSiph2p5D,
+     "2.5D-CrossLight-SiPh",
+     {"siph", "2.5D-CrossLight-SiPh"}},
+};
+constexpr const auto& names(Architecture) { return kArchitectureNames; }
+
 [[nodiscard]] constexpr const char* to_string(Architecture a) {
-  switch (a) {
-    case Architecture::kMonolithicCrossLight: return "CrossLight";
-    case Architecture::kElec2p5D: return "2.5D-CrossLight-Elec";
-    case Architecture::kSiph2p5D: return "2.5D-CrossLight-SiPh";
-  }
-  return "?";
+  return util::name_of(a);
 }
 
 /// One homogeneous group of identical chiplets.

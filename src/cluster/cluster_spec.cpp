@@ -7,20 +7,6 @@
 
 namespace optiplet::cluster {
 
-std::optional<BalancerPolicy> balancer_policy_from_string(
-    std::string_view name) {
-  if (name == "rr" || name == "round-robin") {
-    return BalancerPolicy::kRoundRobin;
-  }
-  if (name == "least" || name == "least-loaded") {
-    return BalancerPolicy::kLeastLoaded;
-  }
-  if (name == "locality" || name == "locality-aware") {
-    return BalancerPolicy::kLocalityAware;
-  }
-  return std::nullopt;
-}
-
 std::vector<std::size_t> ClusterSpec::replications(
     std::size_t tenant_count) const {
   if (packages < 1) {

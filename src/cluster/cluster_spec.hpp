@@ -11,10 +11,10 @@
 /// without pulling in the simulator stack.
 
 #include <cstddef>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
+
+#include "util/names.hpp"
 
 namespace optiplet::cluster {
 
@@ -25,17 +25,18 @@ enum class BalancerPolicy {
   kLocalityAware,  ///< serve on the ingress package when it hosts a replica
 };
 
-[[nodiscard]] constexpr const char* to_string(BalancerPolicy policy) {
-  switch (policy) {
-    case BalancerPolicy::kRoundRobin: return "rr";
-    case BalancerPolicy::kLeastLoaded: return "least";
-    case BalancerPolicy::kLocalityAware: return "locality";
-  }
-  return "?";
-}
+inline constexpr util::NameRow<BalancerPolicy> kBalancerPolicyNames[] = {
+    {BalancerPolicy::kRoundRobin, "rr", {"rr", "round-robin"}},
+    {BalancerPolicy::kLeastLoaded, "least", {"least", "least-loaded"}},
+    {BalancerPolicy::kLocalityAware,
+     "locality",
+     {"locality", "locality-aware"}},
+};
+constexpr const auto& names(BalancerPolicy) { return kBalancerPolicyNames; }
 
-[[nodiscard]] std::optional<BalancerPolicy> balancer_policy_from_string(
-    std::string_view name);
+[[nodiscard]] constexpr const char* to_string(BalancerPolicy policy) {
+  return util::name_of(policy);
+}
 
 /// The rack: how many packages, how tenants spread over them, and the
 /// geometry of the package-to-package photonic links.

@@ -88,22 +88,14 @@ std::optional<FidelitySpec> fidelity_from_string(std::string_view name) {
   const std::string_view knobs =
       colon == std::string_view::npos ? std::string_view{}
                                       : name.substr(colon + 1);
-  if (head == "analytical" || head == "tlm") {
-    return colon == std::string_view::npos
-               ? std::optional<FidelitySpec>{Fidelity::kAnalytical}
-               : std::nullopt;  // knobs only exist on the sampled mode
+  const std::optional<Fidelity> mode = util::parse_name<Fidelity>(head);
+  if (!mode ||
+      (colon != std::string_view::npos && *mode != Fidelity::kSampled)) {
+    return std::nullopt;  // knobs only exist on the sampled mode
   }
-  if (head == "cycle" || head == "cycle-accurate") {
-    return colon == std::string_view::npos
-               ? std::optional<FidelitySpec>{Fidelity::kCycleAccurate}
-               : std::nullopt;
-  }
-  if (head != "sampled") {
-    return std::nullopt;
-  }
-  FidelitySpec spec(Fidelity::kSampled);
+  FidelitySpec spec(*mode);
   if (colon == std::string_view::npos) {
-    return spec;  // all knobs default
+    return spec;  // a pure mode, or sampled with every knob at its default
   }
   if (knobs.empty()) {
     return std::nullopt;  // "sampled:" with nothing after the colon

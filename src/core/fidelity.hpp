@@ -34,6 +34,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/names.hpp"
+
 namespace optiplet::core {
 
 enum class Fidelity {
@@ -42,16 +44,17 @@ enum class Fidelity {
   kSampled,
 };
 
+/// The mode names at the front of a fidelity spelling; "tlm" and
+/// "cycle-accurate" are legacy aliases.
+inline constexpr util::NameRow<Fidelity> kFidelityNames[] = {
+    {Fidelity::kAnalytical, "analytical", {"analytical", "tlm"}},
+    {Fidelity::kCycleAccurate, "cycle", {"cycle", "cycle-accurate"}},
+    {Fidelity::kSampled, "sampled", {"sampled"}},
+};
+constexpr const auto& names(Fidelity) { return kFidelityNames; }
+
 [[nodiscard]] constexpr const char* to_string(Fidelity f) {
-  switch (f) {
-    case Fidelity::kAnalytical:
-      return "analytical";
-    case Fidelity::kCycleAccurate:
-      return "cycle";
-    case Fidelity::kSampled:
-      return "sampled";
-  }
-  return "?";
+  return util::name_of(f);
 }
 
 /// Fidelity mode plus the sampling knobs kSampled needs. Implicitly
@@ -97,9 +100,8 @@ struct FidelitySpec {
 /// for kSampled.
 [[nodiscard]] std::string to_string(const FidelitySpec& spec);
 
-/// Parse a fidelity spelling. Accepts the canonical names, the legacy
-/// aliases "tlm" (analytical) and "cycle-accurate" (cycle), and
-/// "sampled[:knob=value,...]" with knobs windows/w, layers/l, seed/s,
+/// Parse a fidelity spelling: a mode spelling of kFidelityNames, where
+/// "sampled[:knob=value,...]" takes knobs windows/w, layers/l, seed/s,
 /// conf/confidence (unset knobs keep their defaults). nullopt on unknown
 /// names, unknown knobs, or out-of-range values.
 [[nodiscard]] std::optional<FidelitySpec> fidelity_from_string(

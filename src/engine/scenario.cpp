@@ -470,32 +470,4 @@ std::vector<ScenarioSpec> ScenarioGrid::expand(
   }
 }
 
-std::optional<accel::Architecture> architecture_from_string(
-    std::string_view name) {
-  if (name == "mono" || name == "crosslight" ||
-      name == accel::to_string(accel::Architecture::kMonolithicCrossLight)) {
-    return accel::Architecture::kMonolithicCrossLight;
-  }
-  if (name == "elec" ||
-      name == accel::to_string(accel::Architecture::kElec2p5D)) {
-    return accel::Architecture::kElec2p5D;
-  }
-  if (name == "siph" ||
-      name == accel::to_string(accel::Architecture::kSiph2p5D)) {
-    return accel::Architecture::kSiph2p5D;
-  }
-  return std::nullopt;
-}
-
-std::optional<photonics::ModulationFormat> modulation_from_string(
-    std::string_view name) {
-  if (name == "ook" || name == "OOK") {
-    return photonics::ModulationFormat::kOok;
-  }
-  if (name == "pam4" || name == "PAM-4" || name == "PAM4") {
-    return photonics::ModulationFormat::kPam4;
-  }
-  return std::nullopt;
-}
-
 }  // namespace optiplet::engine

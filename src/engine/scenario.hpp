@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -170,14 +169,5 @@ struct ScenarioGrid {
   [[nodiscard]] std::vector<ScenarioSpec> expand(
       const core::SystemConfig& base) const;
 };
-
-/// Parse helpers for CLIs: accept the canonical to_string() names plus the
-/// short aliases "mono"/"crosslight", "elec", "siph" and "ook", "pam4".
-/// (Fidelity parsing lives next to FidelitySpec:
-/// core::fidelity_from_string.)
-[[nodiscard]] std::optional<accel::Architecture> architecture_from_string(
-    std::string_view name);
-[[nodiscard]] std::optional<photonics::ModulationFormat>
-modulation_from_string(std::string_view name);
 
 }  // namespace optiplet::engine

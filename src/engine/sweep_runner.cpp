@@ -130,23 +130,18 @@ std::vector<ScenarioResult> SweepRunner::run(
   std::size_t done = 0;
   const auto report = [&](std::size_t increment, const std::string& key,
                           double wall_s, bool hit) {
-    if (!options_.progress && !options_.scenario_progress) {
+    if (!options_.scenario_progress) {
       return;
     }
     const std::lock_guard<std::mutex> lock(progress_mutex);
     done += increment;
-    if (options_.progress) {
-      options_.progress(done, total);
-    }
-    if (options_.scenario_progress) {
-      ScenarioProgress p;
-      p.done = done;
-      p.total = total;
-      p.key = key;
-      p.wall_s = wall_s;
-      p.from_cache = hit;
-      options_.scenario_progress(p);
-    }
+    ScenarioProgress p;
+    p.done = done;
+    p.total = total;
+    p.key = key;
+    p.wall_s = wall_s;
+    p.from_cache = hit;
+    options_.scenario_progress(p);
   };
 
   // Prior-run cache hits report one at a time so scenario_progress sees

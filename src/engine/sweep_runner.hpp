@@ -64,16 +64,12 @@ struct ScenarioProgress {
 struct SweepOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency.
   std::size_t threads = 0;
-  /// Progress callback, invoked as `progress(done, total)` once per
-  /// scenario of the current batch (cache hits report immediately).
-  /// Calls are serialized by the runner; the callback itself need not be
-  /// thread-safe, but it runs on worker threads — keep it cheap.
-  std::function<void(std::size_t done, std::size_t total)> progress;
-  /// Detailed progress: one call per resolved scenario key — upfront cache
-  /// hits each report their own key (with wall_s = 0), live evaluations
-  /// report the measured wall-clock once they land (in-batch duplicates
-  /// ride along in `done` without their own call). Serialized with
-  /// `progress`; both callbacks may be set independently.
+  /// Progress: one call per resolved scenario key — upfront cache hits
+  /// each report their own key (with wall_s = 0), live evaluations report
+  /// the measured wall-clock once they land (in-batch duplicates ride
+  /// along in `done` without their own call). Calls are serialized by the
+  /// runner; the callback itself need not be thread-safe, but it runs on
+  /// worker threads — keep it cheap.
   std::function<void(const ScenarioProgress&)> scenario_progress;
 };
 

@@ -9,6 +9,7 @@
 /// (~4.8 dB for ideal equal spacing, ~6 dB with implementation penalty)
 /// and the transmitter needs a second cascaded modulator ring per channel.
 
+#include "util/names.hpp"
 #include "util/units.hpp"
 
 namespace optiplet::photonics {
@@ -18,12 +19,16 @@ enum class ModulationFormat {
   kPam4,  ///< 4-level pulse-amplitude modulation: 2 bits/symbol
 };
 
+inline constexpr util::NameRow<ModulationFormat> kModulationFormatNames[] = {
+    {ModulationFormat::kOok, "OOK", {"ook", "OOK"}},
+    {ModulationFormat::kPam4, "PAM-4", {"pam4", "PAM-4", "PAM4"}},
+};
+constexpr const auto& names(ModulationFormat) {
+  return kModulationFormatNames;
+}
+
 [[nodiscard]] constexpr const char* to_string(ModulationFormat f) {
-  switch (f) {
-    case ModulationFormat::kOok: return "OOK";
-    case ModulationFormat::kPam4: return "PAM-4";
-  }
-  return "?";
+  return util::name_of(f);
 }
 
 /// Bits carried per symbol.

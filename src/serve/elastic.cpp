@@ -34,10 +34,10 @@ bool read(const std::string& text, T& out) {
   return value.has_value();
 }
 
-/// True when every field is in the range serve::simulate accepts:
-/// non-negative durations and fault times, a positive EMA time constant
-/// and carbon period, an amplitude in [0, 1], a derate in (0, 1], and
-/// chiplet and package ids of at least -1.
+}  // namespace
+
+bool ElasticSpec::enabled() const { return !(*this == ElasticSpec{}); }
+
 bool in_range(const ElasticSpec& spec) {
   for (const FaultSpec& fault : spec.faults) {
     if (!(fault.time_s >= 0.0 && fault.bandwidth_derate > 0.0 &&
@@ -52,10 +52,6 @@ bool in_range(const ElasticSpec& spec) {
          spec.carbon_base_gpkwh >= 0.0 && spec.carbon_amplitude >= 0.0 &&
          spec.carbon_amplitude <= 1.0 && spec.carbon_period_s > 0.0;
 }
-
-}  // namespace
-
-bool ElasticSpec::enabled() const { return !(*this == ElasticSpec{}); }
 
 std::string to_string(const FaultSpec& fault) {
   return "fault=" + fmt(fault.time_s) + ':' + std::to_string(fault.chiplet) +

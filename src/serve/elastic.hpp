@@ -109,6 +109,13 @@ struct ElasticSpec {
   bool operator==(const ElasticSpec&) const = default;
 };
 
+/// True when every field is in the range serve::simulate accepts:
+/// non-negative durations and fault times, a positive EMA time constant
+/// and carbon period, an amplitude in [0, 1], a derate in (0, 1], and
+/// chiplet and package ids of at least -1. The codec refuses text outside
+/// it; simulate() refuses such a spec naming its `to_string` form.
+[[nodiscard]] bool in_range(const ElasticSpec& spec);
+
 /// Canonical text form, round-trippable through `elastic_from_string` and
 /// stable enough for `ScenarioSpec::key()`. The inert default encodes as
 /// "static"; otherwise '/'-separated `k=v` fields, e.g.

@@ -1888,6 +1888,78 @@ std::uint64_t worst_case_tokens(const TenantSetup& setup) {
   return worst_of(setup.prefill_tokens) + worst_of(setup.decode_tokens);
 }
 
+/// A token-geometry tenant's KV-cache sizing and the batch bound it runs
+/// with: the one derivation check_serving_rules and simulate()'s set-up
+/// share.
+struct KvSizing {
+  std::uint64_t bytes_per_token = 0;
+  std::uint64_t budget_bytes = 0;
+  /// What one worst-case request reserves.
+  std::uint64_t request_bytes = 0;
+  /// `batching.max_batch`, capped at the worst-case requests the budget
+  /// holds at once: static batches clamp their size, continuous batching
+  /// its slot count (and re-tests the fit per admitted request).
+  unsigned max_batch = 0;
+};
+
+KvSizing kv_sizing(const TenantSetup& tenant,
+                   const dnn::TransformerSpec& transformer,
+                   unsigned parameter_bits) {
+  KvSizing kv;
+  kv.bytes_per_token = dnn::kv_bytes_per_token(transformer, parameter_bits);
+  kv.budget_bytes =
+      tenant.kv_cache_mb > 0.0
+          ? static_cast<std::uint64_t>(tenant.kv_cache_mb * 1024.0 * 1024.0)
+          : 0;
+  kv.request_bytes = kv.bytes_per_token * worst_case_tokens(tenant);
+  kv.max_batch = static_cast<unsigned>(std::min<std::uint64_t>(
+      tenant.batching.max_batch,
+      kv.budget_bytes / std::max<std::uint64_t>(kv.request_bytes, 1)));
+  return kv;
+}
+
+/// The token-geometry rules of one tenant with token geometry (see
+/// check_serving_rules); returns its KV sizing. `trace` names where
+/// replayed token columns came from.
+KvSizing check_token_rules(const TenantSetup& tenant, unsigned parameter_bits,
+                           const std::string& trace) {
+  const std::optional<dnn::TransformerSpec>& transformer =
+      dnn::ModelRegistry::instance().at(tenant.model).transformer;
+  if (!transformer) {
+    throw std::invalid_argument(
+        (tenant.prefill_tokens > 0
+             ? "prefill_tokens " + std::to_string(tenant.prefill_tokens)
+             : "the token columns of " + trace) +
+        " on fixed-shape model " + tenant.model +
+        " (token geometry needs a transformer)");
+  }
+  const std::uint64_t worst = worst_case_tokens(tenant);
+  if (worst > transformer->max_context) {
+    throw std::invalid_argument(
+        (tenant.trace_shapes.empty()
+             ? "prefill_tokens " + std::to_string(tenant.prefill_tokens) +
+                   ", decode_tokens " + std::to_string(tenant.decode_tokens) +
+                   " and token_spread " +
+                   util::format_general(tenant.token_spread) + " make"
+             : trace + " has") +
+        " a request of " + std::to_string(worst) +
+        " tokens, over the max_context " +
+        std::to_string(transformer->max_context) + " of " + tenant.model);
+  }
+  // The KV budget must hold at least one worst-case request.
+  const KvSizing kv = kv_sizing(tenant, *transformer, parameter_bits);
+  if (kv.budget_bytes < std::max<std::uint64_t>(kv.request_bytes, 1)) {
+    throw std::invalid_argument(
+        "kv_cache_mb " + util::format_general(tenant.kv_cache_mb) +
+        " cannot hold one worst-case request of " + std::to_string(worst) +
+        " tokens on " + tenant.model + ", which needs " +
+        util::format_general(static_cast<double>(kv.request_bytes) /
+                             (1024.0 * 1024.0)) +
+        " MiB");
+  }
+  return kv;
+}
+
 /// The serving rules a config must pass before it runs, each refused as a
 /// std::invalid_argument naming the field and its value.
 /// make_serving_config applies them where a spec enters; simulate()
@@ -1896,6 +1968,13 @@ std::uint64_t worst_case_tokens(const TenantSetup& setup) {
 void check_serving_rules(const ServingConfig& config,
                          const std::string& trace_path) {
   const ElasticSpec& elastic = config.elastic;
+  if (!in_range(elastic)) {
+    throw std::invalid_argument(
+        "elastic policy " + to_string(elastic) +
+        " is out of range: durations and fault times must be >= 0, tau and "
+        "the carbon period > 0, the carbon amplitude in [0, 1], a fault "
+        "derate in (0, 1] and chiplet and package ids >= -1");
+  }
   // A chiplet fault needs a chiplet of the 2.5D pool to kill.
   std::size_t pool = 0;
   if (config.arch != accel::Architecture::kMonolithicCrossLight) {
@@ -1947,58 +2026,32 @@ void check_serving_rules(const ServingConfig& config,
           "token_spread " + util::format_general(tenant.token_spread) +
           " on " + tenant.model + " is outside [0, 1)");
     }
-    if (!has_token_geometry(tenant)) {
-      if (tenant.decode_tokens > 0) {
-        throw std::invalid_argument(
-            "decode_tokens " + std::to_string(tenant.decode_tokens) +
-            " without prefill_tokens on " + tenant.model +
-            " (decode needs a prompt)");
-      }
-      if (tenant.batching.policy == BatchPolicy::kContinuous) {
-        throw std::invalid_argument(
-            "policy cont on fixed-shape model " + tenant.model +
-            " (continuous batching needs prefill_tokens > 0)");
-      }
-      continue;
-    }
-    const std::optional<dnn::TransformerSpec>& transformer =
-        dnn::ModelRegistry::instance().at(tenant.model).transformer;
-    if (!transformer) {
+    unsigned max_batch = tenant.batching.max_batch;
+    if (has_token_geometry(tenant)) {
+      max_batch =
+          check_token_rules(tenant, config.system.parameter_bits, trace)
+              .max_batch;
+    } else if (tenant.decode_tokens > 0) {
       throw std::invalid_argument(
-          (tenant.prefill_tokens > 0
-               ? "prefill_tokens " + std::to_string(tenant.prefill_tokens)
-               : "the token columns of " + trace) +
-          " on fixed-shape model " + tenant.model +
-          " (token geometry needs a transformer)");
-    }
-    const std::uint64_t worst = worst_case_tokens(tenant);
-    if (worst > transformer->max_context) {
+          "decode_tokens " + std::to_string(tenant.decode_tokens) +
+          " without prefill_tokens on " + tenant.model +
+          " (decode needs a prompt)");
+    } else if (tenant.batching.policy == BatchPolicy::kContinuous) {
       throw std::invalid_argument(
-          (tenant.trace_shapes.empty()
-               ? "prefill_tokens " + std::to_string(tenant.prefill_tokens) +
-                     ", decode_tokens " +
-                     std::to_string(tenant.decode_tokens) +
-                     " and token_spread " +
-                     util::format_general(tenant.token_spread) + " make"
-               : trace + " has") +
-          " a request of " + std::to_string(worst) +
-          " tokens, over the max_context " +
-          std::to_string(transformer->max_context) + " of " + tenant.model);
+          "policy cont on fixed-shape model " + tenant.model +
+          " (continuous batching needs prefill_tokens > 0)");
     }
-    // The KV budget must hold at least one worst-case request.
-    const std::uint64_t request_bytes =
-        dnn::kv_bytes_per_token(*transformer, config.system.parameter_bits) *
-        worst;
-    if (!(tenant.kv_cache_mb > 0.0) ||
-        static_cast<std::uint64_t>(tenant.kv_cache_mb * 1024.0 * 1024.0) <
-            std::max<std::uint64_t>(request_bytes, 1)) {
+    // Once every user of a closed loop waits on a queued request, a size
+    // batch larger than the user pool never fills and the run stalls.
+    if (tenant.source == ArrivalSource::kClosedLoop &&
+        tenant.batching.policy == BatchPolicy::kFixedSize &&
+        tenant.users < max_batch && tenant.requests > tenant.users) {
       throw std::invalid_argument(
-          "kv_cache_mb " + util::format_general(tenant.kv_cache_mb) +
-          " cannot hold one worst-case request of " + std::to_string(worst) +
-          " tokens on " + tenant.model + ", which needs " +
-          util::format_general(static_cast<double>(request_bytes) /
-                               (1024.0 * 1024.0)) +
-          " MiB");
+          "closed loop of " + std::to_string(tenant.users) + " users on " +
+          tenant.model + " can never fill its size batch of " +
+          std::to_string(max_batch) + " (" + std::to_string(tenant.requests) +
+          " requests): use at least " + std::to_string(max_batch) +
+          " users, or another policy");
     }
   }
 }
@@ -2069,27 +2122,12 @@ ServingReport simulate(const ServingConfig& config) {
       "serving supports at most 65535 tenants");
   const auto wall_t0 = std::chrono::steady_clock::now();
 
+  check_serving_rules(config, "");
   const ElasticSpec& elastic = config.elastic;
-  OPTIPLET_REQUIRE(elastic.ema_tau_s > 0.0, "elastic ema_tau_s must be > 0");
-  OPTIPLET_REQUIRE(elastic.cooldown_s >= 0.0 && elastic.gate_after_s >= 0.0 &&
-                       elastic.wake_s >= 0.0 &&
-                       elastic.retry_backoff_s >= 0.0 &&
-                       elastic.curve_bucket_s >= 0.0,
-                   "elastic durations must be non-negative");
-  OPTIPLET_REQUIRE(elastic.carbon_base_gpkwh >= 0.0 &&
-                       elastic.carbon_amplitude >= 0.0 &&
-                       elastic.carbon_amplitude <= 1.0 &&
-                       elastic.carbon_period_s > 0.0,
-                   "carbon proxy needs base >= 0, amplitude in [0, 1], "
-                   "period > 0");
   bool pool_elastic = elastic.repartitioning();
   for (const FaultSpec& fault : elastic.faults) {
-    OPTIPLET_REQUIRE(
-        fault.bandwidth_derate > 0.0 && fault.bandwidth_derate <= 1.0,
-        "fault bandwidth_derate must be in (0, 1]");
     pool_elastic = pool_elastic || (fault.armed() && fault.chiplet >= 0);
   }
-  check_serving_rules(config, "");
 
   std::vector<std::string> model_names;
   for (const auto& setup : config.tenants) {
@@ -2123,8 +2161,7 @@ ServingReport simulate(const ServingConfig& config) {
     BatchingConfig batching = setup.batching;
     std::uint32_t prefill_mean = setup.prefill_tokens;
     std::uint32_t decode_mean = setup.decode_tokens;
-    std::uint64_t kv_per_token = 0;
-    std::uint64_t kv_budget = 0;
+    KvSizing kv;
     if (var) {
       OPTIPLET_REQUIRE(
           setup.trace_shapes.empty() ||
@@ -2145,18 +2182,8 @@ ServingReport simulate(const ServingConfig& config) {
       }
       // The worst case sizes the KV reservation that caps concurrent
       // decode slots (check_serving_rules guarantees at least one).
-      const std::uint64_t worst_total = worst_case_tokens(setup);
-      kv_per_token =
-          dnn::kv_bytes_per_token(*tspec, config.system.parameter_bits);
-      kv_budget = static_cast<std::uint64_t>(setup.kv_cache_mb * 1024.0 *
-                                             1024.0);
-      const std::uint64_t slots =
-          kv_budget / std::max<std::uint64_t>(kv_per_token * worst_total, 1);
-      // The KV budget caps concurrent sequences for every policy: static
-      // batches clamp their size, continuous batching clamps its slot
-      // count (and re-tests the fit per admitted request).
-      batching.max_batch = static_cast<unsigned>(std::min<std::uint64_t>(
-          batching.max_batch, slots));
+      kv = kv_sizing(setup, *tspec, config.system.parameter_bits);
+      batching.max_batch = kv.max_batch;
     }
     TenantState state(batching);
     if (setup.source == ArrivalSource::kClosedLoop) {
@@ -2186,8 +2213,8 @@ ServingReport simulate(const ServingConfig& config) {
       state.prefill_mean = prefill_mean;
       state.decode_mean = decode_mean;
       state.shape_rng = util::Xoshiro256(setup.seed ^ 0x746f6b656eULL);
-      state.kv_bytes_per_token = kv_per_token;
-      state.kv_budget_bytes = kv_budget;
+      state.kv_bytes_per_token = kv.bytes_per_token;
+      state.kv_budget_bytes = kv.budget_bytes;
       // The mean-shape single-request price pins the effective SLA (and
       // pre-warms the phase cache with the reference service times).
       const double nominal_s =

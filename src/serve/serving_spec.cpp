@@ -39,62 +39,6 @@ RequestShape draw_request_shape(std::uint32_t prefill_mean,
   return shape;
 }
 
-std::optional<BatchPolicy> batch_policy_from_string(std::string_view name) {
-  if (name == "none" || name == "fifo" || name == "no-batch") {
-    return BatchPolicy::kNone;
-  }
-  if (name == "size" || name == "fixed" || name == "fixed-size") {
-    return BatchPolicy::kFixedSize;
-  }
-  if (name == "deadline" || name == "dynamic") {
-    return BatchPolicy::kDeadline;
-  }
-  if (name == "cont" || name == "continuous") {
-    return BatchPolicy::kContinuous;
-  }
-  return std::nullopt;
-}
-
-const char* batch_policy_choices() { return "none, size, deadline, cont"; }
-
-std::optional<PipelineMode> pipeline_mode_from_string(std::string_view name) {
-  if (name == "batch" || name == "blocked") {
-    return PipelineMode::kBatchGranular;
-  }
-  if (name == "layer" || name == "pipelined") {
-    return PipelineMode::kLayerGranular;
-  }
-  return std::nullopt;
-}
-
-const char* pipeline_mode_choices() { return "batch, layer"; }
-
-std::optional<ArrivalSource> arrival_source_from_string(
-    std::string_view name) {
-  if (name == "open" || name == "poisson") {
-    return ArrivalSource::kOpenLoop;
-  }
-  if (name == "closed" || name == "closed-loop") {
-    return ArrivalSource::kClosedLoop;
-  }
-  return std::nullopt;
-}
-
-const char* arrival_source_choices() { return "open, closed"; }
-
-std::optional<AdmissionPolicy> admission_policy_from_string(
-    std::string_view name) {
-  if (name == "all" || name == "none" || name == "admit-all") {
-    return AdmissionPolicy::kAdmitAll;
-  }
-  if (name == "shed" || name == "sla-shed") {
-    return AdmissionPolicy::kSlaShed;
-  }
-  return std::nullopt;
-}
-
-const char* admission_policy_choices() { return "all, shed"; }
-
 std::vector<std::string> split_mix(std::string_view mix) {
   return util::split(mix, '+');
 }

@@ -11,12 +11,12 @@
 /// into the scenario key.
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "serve/elastic.hpp"
+#include "util/names.hpp"
 
 namespace optiplet::util {
 class Xoshiro256;
@@ -42,28 +42,17 @@ enum class BatchPolicy {
   kContinuous,
 };
 
+inline constexpr util::NameRow<BatchPolicy> kBatchPolicyNames[] = {
+    {BatchPolicy::kNone, "none", {"none", "fifo", "no-batch"}},
+    {BatchPolicy::kFixedSize, "size", {"size", "fixed", "fixed-size"}},
+    {BatchPolicy::kDeadline, "deadline", {"deadline", "dynamic"}},
+    {BatchPolicy::kContinuous, "cont", {"cont", "continuous"}},
+};
+constexpr const auto& names(BatchPolicy) { return kBatchPolicyNames; }
+
 [[nodiscard]] constexpr const char* to_string(BatchPolicy p) {
-  switch (p) {
-    case BatchPolicy::kNone:
-      return "none";
-    case BatchPolicy::kFixedSize:
-      return "size";
-    case BatchPolicy::kDeadline:
-      return "deadline";
-    case BatchPolicy::kContinuous:
-      return "cont";
-  }
-  return "?";
+  return util::name_of(p);
 }
-
-/// Accepts "none"/"fifo", "size"/"fixed", "deadline"/"dynamic",
-/// "cont"/"continuous".
-[[nodiscard]] std::optional<BatchPolicy> batch_policy_from_string(
-    std::string_view name);
-
-/// Canonical comma-joined choice list for CLI help and fail-fast
-/// messages ("none, size, deadline, cont").
-[[nodiscard]] const char* batch_policy_choices();
 
 /// Execution granularity of a tenant's batches on its chiplet partition.
 enum class PipelineMode {
@@ -77,22 +66,15 @@ enum class PipelineMode {
   kLayerGranular,
 };
 
+inline constexpr util::NameRow<PipelineMode> kPipelineModeNames[] = {
+    {PipelineMode::kBatchGranular, "batch", {"batch", "blocked"}},
+    {PipelineMode::kLayerGranular, "layer", {"layer", "pipelined"}},
+};
+constexpr const auto& names(PipelineMode) { return kPipelineModeNames; }
+
 [[nodiscard]] constexpr const char* to_string(PipelineMode m) {
-  switch (m) {
-    case PipelineMode::kBatchGranular:
-      return "batch";
-    case PipelineMode::kLayerGranular:
-      return "layer";
-  }
-  return "?";
+  return util::name_of(m);
 }
-
-/// Accepts "batch"/"blocked" and "layer"/"pipelined".
-[[nodiscard]] std::optional<PipelineMode> pipeline_mode_from_string(
-    std::string_view name);
-
-/// Canonical choice list ("batch, layer").
-[[nodiscard]] const char* pipeline_mode_choices();
 
 /// How a tenant's request stream is generated.
 enum class ArrivalSource {
@@ -108,22 +90,15 @@ enum class ArrivalSource {
   kClosedLoop,
 };
 
+inline constexpr util::NameRow<ArrivalSource> kArrivalSourceNames[] = {
+    {ArrivalSource::kOpenLoop, "open", {"open", "poisson"}},
+    {ArrivalSource::kClosedLoop, "closed", {"closed", "closed-loop"}},
+};
+constexpr const auto& names(ArrivalSource) { return kArrivalSourceNames; }
+
 [[nodiscard]] constexpr const char* to_string(ArrivalSource s) {
-  switch (s) {
-    case ArrivalSource::kOpenLoop:
-      return "open";
-    case ArrivalSource::kClosedLoop:
-      return "closed";
-  }
-  return "?";
+  return util::name_of(s);
 }
-
-/// Accepts "open"/"poisson" and "closed"/"closed-loop".
-[[nodiscard]] std::optional<ArrivalSource> arrival_source_from_string(
-    std::string_view name);
-
-/// Canonical choice list ("open, closed").
-[[nodiscard]] const char* arrival_source_choices();
 
 /// What happens to a request at enqueue time.
 enum class AdmissionPolicy {
@@ -137,22 +112,15 @@ enum class AdmissionPolicy {
   kSlaShed,
 };
 
+inline constexpr util::NameRow<AdmissionPolicy> kAdmissionPolicyNames[] = {
+    {AdmissionPolicy::kAdmitAll, "all", {"all", "none", "admit-all"}},
+    {AdmissionPolicy::kSlaShed, "shed", {"shed", "sla-shed"}},
+};
+constexpr const auto& names(AdmissionPolicy) { return kAdmissionPolicyNames; }
+
 [[nodiscard]] constexpr const char* to_string(AdmissionPolicy p) {
-  switch (p) {
-    case AdmissionPolicy::kAdmitAll:
-      return "all";
-    case AdmissionPolicy::kSlaShed:
-      return "shed";
-  }
-  return "?";
+  return util::name_of(p);
 }
-
-/// Accepts "all"/"none"/"admit-all" and "shed"/"sla-shed".
-[[nodiscard]] std::optional<AdmissionPolicy> admission_policy_from_string(
-    std::string_view name);
-
-/// Canonical choice list ("all, shed").
-[[nodiscard]] const char* admission_policy_choices();
 
 /// Variable-length request geometry of an autoregressive tenant: prompt
 /// tokens costed in the MAC-bound prefill phase, generated tokens costed

@@ -55,19 +55,6 @@ class EpisodeTimeline {
 
 }  // namespace
 
-std::optional<TraceProfile> trace_profile_from_string(std::string_view name) {
-  if (name == "diurnal" || name == "sinusoid") {
-    return TraceProfile::kDiurnal;
-  }
-  if (name == "bursts" || name == "burst") {
-    return TraceProfile::kBursts;
-  }
-  if (name == "mmpp" || name == "onoff") {
-    return TraceProfile::kMmpp;
-  }
-  return std::nullopt;
-}
-
 std::vector<TraceEvent> generate_trace(const TraceGenSpec& spec) {
   OPTIPLET_REQUIRE(spec.base_rps > 0.0, "base rate must be positive");
   OPTIPLET_REQUIRE(spec.duration_s > 0.0, "duration must be positive");

@@ -23,33 +23,27 @@
 /// (seeded), so a multi-tenant mix replays with per-tenant streams.
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "serve/arrivals.hpp"
+#include "util/names.hpp"
 
 namespace optiplet::serve {
 
 /// Which synthetic load shape to generate.
 enum class TraceProfile { kDiurnal, kBursts, kMmpp };
 
-[[nodiscard]] constexpr const char* to_string(TraceProfile p) {
-  switch (p) {
-    case TraceProfile::kDiurnal:
-      return "diurnal";
-    case TraceProfile::kBursts:
-      return "bursts";
-    case TraceProfile::kMmpp:
-      return "mmpp";
-  }
-  return "?";
-}
+inline constexpr util::NameRow<TraceProfile> kTraceProfileNames[] = {
+    {TraceProfile::kDiurnal, "diurnal", {"diurnal", "sinusoid"}},
+    {TraceProfile::kBursts, "bursts", {"bursts", "burst"}},
+    {TraceProfile::kMmpp, "mmpp", {"mmpp", "onoff"}},
+};
+constexpr const auto& names(TraceProfile) { return kTraceProfileNames; }
 
-/// Accepts "diurnal"/"sinusoid", "bursts"/"burst", "mmpp"/"onoff".
-[[nodiscard]] std::optional<TraceProfile> trace_profile_from_string(
-    std::string_view name);
+[[nodiscard]] constexpr const char* to_string(TraceProfile p) {
+  return util::name_of(p);
+}
 
 /// One fully-resolved trace-generation experiment. Fields defaulted to
 /// <= 0 derive from `duration_s`/`base_rps` (see each comment), so the

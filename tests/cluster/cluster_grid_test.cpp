@@ -39,17 +39,19 @@ TEST(ClusterSpec, BalancerPolicyNamesRoundTrip) {
        {BalancerPolicy::kRoundRobin, BalancerPolicy::kLeastLoaded,
         BalancerPolicy::kLocalityAware}) {
     const auto parsed =
-        cluster::balancer_policy_from_string(cluster::to_string(policy));
+        util::parse_name<BalancerPolicy>(cluster::to_string(policy));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, policy);
   }
-  EXPECT_EQ(cluster::balancer_policy_from_string("round-robin"),
-            cluster::BalancerPolicy::kRoundRobin);
-  EXPECT_EQ(cluster::balancer_policy_from_string("least-loaded"),
-            cluster::BalancerPolicy::kLeastLoaded);
-  EXPECT_EQ(cluster::balancer_policy_from_string("locality-aware"),
-            cluster::BalancerPolicy::kLocalityAware);
-  EXPECT_FALSE(cluster::balancer_policy_from_string("random").has_value());
+  EXPECT_EQ(util::parse_name<BalancerPolicy>("round-robin"),
+            BalancerPolicy::kRoundRobin);
+  EXPECT_EQ(util::parse_name<BalancerPolicy>("least-loaded"),
+            BalancerPolicy::kLeastLoaded);
+  EXPECT_EQ(util::parse_name<BalancerPolicy>("locality-aware"),
+            BalancerPolicy::kLocalityAware);
+  EXPECT_FALSE(util::parse_name<BalancerPolicy>("random").has_value());
+  EXPECT_FALSE(util::parse_name<BalancerPolicy>("").has_value());
+  EXPECT_EQ(util::choices<BalancerPolicy>(), "rr, least, locality");
 }
 
 TEST(ClusterScheduler, PlacementIsDeterministicAndAscending) {

@@ -174,6 +174,33 @@ TEST(ClusterSimulator, ClosedLoopRemoteUsersChargeTransfers) {
   EXPECT_GT(rack.metrics.transfer_energy_j, 0.0);
 }
 
+TEST(ClusterSimulator, RefusesAPackageSizeBatchItsUsersCannotFill) {
+  // Two replicas split 12 users 6 and 6, under the size batch of 8: each
+  // package's closed loop would stall once its users all wait, so the
+  // rack refuses it, naming the package's share.
+  ClusterConfig config = make_cluster("LeNet5", 0.0, 100, 2,
+                                      BalancerPolicy::kLocalityAware, 2);
+  config.serving.source = serve::ArrivalSource::kClosedLoop;
+  config.serving.policy = serve::BatchPolicy::kFixedSize;
+  config.serving.users = 12;
+  try {
+    (void)simulate(config);
+    ADD_FAILURE() << "6 users per package were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "closed loop of 6 users on LeNet5 can never fill its size "
+              "batch of 8 (50 requests): use at least 8 users, or another "
+              "policy");
+  }
+  config.serving.users = 16;
+  EXPECT_EQ(simulate(config).metrics.rack.completed, 100u);
+  // One user leaves the second replica idle (one user, no budget), which
+  // still passes.
+  config.serving.users = 1;
+  config.serving.requests = 1;
+  EXPECT_EQ(simulate(config).metrics.rack.completed, 1u);
+}
+
 TEST(ClusterSimulator, ReplicatedLocalityRackScalesThroughput) {
   // At 3x one package's capacity, a lone package saturates; a 4-package
   // locality-aware rack with a replica everywhere splits the stream

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "../../tools/cli_support.hpp"
 #include "cluster/cluster_spec.hpp"
 #include "engine/scenario.hpp"
 #include "serve/serving_spec.hpp"
@@ -153,46 +156,165 @@ TEST(SampledLayerMask, DegeneratesAtTheEndpoints) {
   EXPECT_EQ(std::count(off.begin(), off.end(), true), 0);
 }
 
-// Every other to_string/from_string pair in the scenario vocabulary must
-// round-trip mode by mode — the CSV/CLI encodings are load-bearing
-// interfaces, not display strings.
+// Every enum the CLIs parse must keep its names: the CSV/CLI encodings
+// are load-bearing interfaces, not display strings. Each pin below is
+// written out by hand, never read from the table it checks.
 
-template <typename Enum, typename Parser>
-void expect_round_trip(std::initializer_list<Enum> modes, Parser parse) {
-  for (const Enum mode : modes) {
-    const auto parsed = parse(to_string(mode));
+template <typename Enum>
+void expect_round_trip(
+    std::initializer_list<std::pair<Enum, std::string_view>> names) {
+  for (const auto& [mode, name] : names) {
+    EXPECT_EQ(to_string(mode), name);
+    const auto parsed = util::parse_name<Enum>(to_string(mode));
     ASSERT_TRUE(parsed.has_value()) << to_string(mode);
     EXPECT_EQ(*parsed, mode) << to_string(mode);
   }
 }
 
+/// Every accepted spelling maps to its value and the table accepts no
+/// other; unknown and empty text are refused; `valid` is the error
+/// messages' choice list.
+template <typename Enum>
+void expect_spellings(
+    std::initializer_list<std::pair<std::string_view, Enum>> accepted,
+    const std::string& valid) {
+  std::size_t spellings = 0;
+  for (const auto& row : names(Enum{})) {
+    for (const std::string_view spelling : row.spellings) {
+      spellings += spelling.empty() ? 0 : 1;
+    }
+  }
+  EXPECT_EQ(spellings, accepted.size()) << valid;
+  for (const auto& [text, value] : accepted) {
+    EXPECT_EQ(util::parse_name<Enum>(text), value) << text;
+  }
+  EXPECT_FALSE(util::parse_name<Enum>("bogus").has_value()) << valid;
+  EXPECT_FALSE(util::parse_name<Enum>("").has_value()) << valid;
+  EXPECT_EQ(util::choices<Enum>(), valid);
+}
+
 TEST(StringEncodings, EveryEnumRoundTrips) {
-  expect_round_trip({serve::BatchPolicy::kNone, serve::BatchPolicy::kFixedSize,
-                     serve::BatchPolicy::kDeadline},
-                    serve::batch_policy_from_string);
-  expect_round_trip({serve::PipelineMode::kBatchGranular,
-                     serve::PipelineMode::kLayerGranular},
-                    serve::pipeline_mode_from_string);
-  expect_round_trip(
-      {serve::ArrivalSource::kOpenLoop, serve::ArrivalSource::kClosedLoop},
-      serve::arrival_source_from_string);
-  expect_round_trip(
-      {serve::AdmissionPolicy::kAdmitAll, serve::AdmissionPolicy::kSlaShed},
-      serve::admission_policy_from_string);
-  expect_round_trip({serve::TraceProfile::kDiurnal,
-                     serve::TraceProfile::kBursts, serve::TraceProfile::kMmpp},
-                    serve::trace_profile_from_string);
-  expect_round_trip({accel::Architecture::kMonolithicCrossLight,
-                     accel::Architecture::kElec2p5D,
-                     accel::Architecture::kSiph2p5D},
-                    engine::architecture_from_string);
-  expect_round_trip(
-      {photonics::ModulationFormat::kOok, photonics::ModulationFormat::kPam4},
-      engine::modulation_from_string);
-  expect_round_trip({cluster::BalancerPolicy::kRoundRobin,
-                     cluster::BalancerPolicy::kLeastLoaded,
-                     cluster::BalancerPolicy::kLocalityAware},
-                    cluster::balancer_policy_from_string);
+  using accel::Architecture;
+  using cli::LogLevel;
+  using cluster::BalancerPolicy;
+  using photonics::ModulationFormat;
+  using serve::AdmissionPolicy;
+  using serve::ArrivalSource;
+  using serve::BatchPolicy;
+  using serve::PipelineMode;
+  using serve::TraceProfile;
+  expect_round_trip<BatchPolicy>({{BatchPolicy::kNone, "none"},
+                                  {BatchPolicy::kFixedSize, "size"},
+                                  {BatchPolicy::kDeadline, "deadline"},
+                                  {BatchPolicy::kContinuous, "cont"}});
+  expect_spellings<BatchPolicy>({{"none", BatchPolicy::kNone},
+                                 {"fifo", BatchPolicy::kNone},
+                                 {"no-batch", BatchPolicy::kNone},
+                                 {"size", BatchPolicy::kFixedSize},
+                                 {"fixed", BatchPolicy::kFixedSize},
+                                 {"fixed-size", BatchPolicy::kFixedSize},
+                                 {"deadline", BatchPolicy::kDeadline},
+                                 {"dynamic", BatchPolicy::kDeadline},
+                                 {"cont", BatchPolicy::kContinuous},
+                                 {"continuous", BatchPolicy::kContinuous}},
+                                "none, size, deadline, cont");
+  expect_round_trip<PipelineMode>({{PipelineMode::kBatchGranular, "batch"},
+                                   {PipelineMode::kLayerGranular, "layer"}});
+  expect_spellings<PipelineMode>(
+      {{"batch", PipelineMode::kBatchGranular},
+       {"blocked", PipelineMode::kBatchGranular},
+       {"layer", PipelineMode::kLayerGranular},
+       {"pipelined", PipelineMode::kLayerGranular}},
+      "batch, layer");
+  expect_round_trip<ArrivalSource>({{ArrivalSource::kOpenLoop, "open"},
+                                    {ArrivalSource::kClosedLoop, "closed"}});
+  expect_spellings<ArrivalSource>({{"open", ArrivalSource::kOpenLoop},
+                                   {"poisson", ArrivalSource::kOpenLoop},
+                                   {"closed", ArrivalSource::kClosedLoop},
+                                   {"closed-loop", ArrivalSource::kClosedLoop}},
+                                  "open, closed");
+  expect_round_trip<AdmissionPolicy>({{AdmissionPolicy::kAdmitAll, "all"},
+                                      {AdmissionPolicy::kSlaShed, "shed"}});
+  expect_spellings<AdmissionPolicy>(
+      {{"all", AdmissionPolicy::kAdmitAll},
+       {"none", AdmissionPolicy::kAdmitAll},
+       {"admit-all", AdmissionPolicy::kAdmitAll},
+       {"shed", AdmissionPolicy::kSlaShed},
+       {"sla-shed", AdmissionPolicy::kSlaShed}},
+      "all, shed");
+  expect_round_trip<TraceProfile>({{TraceProfile::kDiurnal, "diurnal"},
+                                   {TraceProfile::kBursts, "bursts"},
+                                   {TraceProfile::kMmpp, "mmpp"}});
+  expect_spellings<TraceProfile>({{"diurnal", TraceProfile::kDiurnal},
+                                  {"sinusoid", TraceProfile::kDiurnal},
+                                  {"bursts", TraceProfile::kBursts},
+                                  {"burst", TraceProfile::kBursts},
+                                  {"mmpp", TraceProfile::kMmpp},
+                                  {"onoff", TraceProfile::kMmpp}},
+                                 "diurnal, bursts, mmpp");
+  expect_round_trip<Architecture>(
+      {{Architecture::kMonolithicCrossLight, "CrossLight"},
+       {Architecture::kElec2p5D, "2.5D-CrossLight-Elec"},
+       {Architecture::kSiph2p5D, "2.5D-CrossLight-SiPh"}});
+  expect_spellings<Architecture>(
+      {{"mono", Architecture::kMonolithicCrossLight},
+       {"crosslight", Architecture::kMonolithicCrossLight},
+       {"CrossLight", Architecture::kMonolithicCrossLight},
+       {"elec", Architecture::kElec2p5D},
+       {"2.5D-CrossLight-Elec", Architecture::kElec2p5D},
+       {"siph", Architecture::kSiph2p5D},
+       {"2.5D-CrossLight-SiPh", Architecture::kSiph2p5D}},
+      "mono, elec, siph");
+  expect_round_trip<ModulationFormat>({{ModulationFormat::kOok, "OOK"},
+                                       {ModulationFormat::kPam4, "PAM-4"}});
+  expect_spellings<ModulationFormat>({{"ook", ModulationFormat::kOok},
+                                      {"OOK", ModulationFormat::kOok},
+                                      {"pam4", ModulationFormat::kPam4},
+                                      {"PAM-4", ModulationFormat::kPam4},
+                                      {"PAM4", ModulationFormat::kPam4}},
+                                     "ook, pam4");
+  expect_round_trip<BalancerPolicy>(
+      {{BalancerPolicy::kRoundRobin, "rr"},
+       {BalancerPolicy::kLeastLoaded, "least"},
+       {BalancerPolicy::kLocalityAware, "locality"}});
+  expect_spellings<BalancerPolicy>(
+      {{"rr", BalancerPolicy::kRoundRobin},
+       {"round-robin", BalancerPolicy::kRoundRobin},
+       {"least", BalancerPolicy::kLeastLoaded},
+       {"least-loaded", BalancerPolicy::kLeastLoaded},
+       {"locality", BalancerPolicy::kLocalityAware},
+       {"locality-aware", BalancerPolicy::kLocalityAware}},
+      "rr, least, locality");
+  expect_round_trip<Fidelity>({{Fidelity::kAnalytical, "analytical"},
+                               {Fidelity::kCycleAccurate, "cycle"},
+                               {Fidelity::kSampled, "sampled"}});
+  expect_spellings<Fidelity>({{"analytical", Fidelity::kAnalytical},
+                              {"tlm", Fidelity::kAnalytical},
+                              {"cycle", Fidelity::kCycleAccurate},
+                              {"cycle-accurate", Fidelity::kCycleAccurate},
+                              {"sampled", Fidelity::kSampled}},
+                             "analytical, cycle, sampled");
+  // The CLIs' log level is never printed, so it has no to_string.
+  expect_spellings<LogLevel>({{"quiet", LogLevel::kQuiet},
+                              {"info", LogLevel::kInfo},
+                              {"debug", LogLevel::kDebug}},
+                             "quiet, info, debug");
+  // --help shows the same list joined by '|'.
+  EXPECT_EQ(util::choices<BatchPolicy>("|"), "none|size|deadline|cont");
+  EXPECT_EQ(cli::fidelity_help().rfind(
+                "comma list of analytical|cycle|sampled (default\n", 0),
+            0u);
+  // The CLI factories' errors carry the lists, and a caller's extra
+  // spelling follows the table's.
+  std::vector<Architecture> archs;
+  EXPECT_EQ(cli::append_choices(archs, "architecture", "all")("mono,tpu"),
+            "unknown architecture: tpu (valid: mono, elec, siph, all)");
+  EXPECT_EQ(archs, std::vector<Architecture>{
+                       Architecture::kMonolithicCrossLight});
+  std::vector<FidelitySpec> fidelities;
+  EXPECT_EQ(cli::append_fidelities(fidelities)("quantum"),
+            "unknown fidelity: quantum (valid: analytical, cycle, "
+            "sampled[:windows=W,layers=L,seed=S,conf=C])");
 }
 
 }  // namespace

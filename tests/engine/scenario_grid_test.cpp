@@ -213,19 +213,34 @@ TEST(ScenarioGrid, RejectsDuplicateOverrideAxes) {
 }
 
 TEST(ParseHelpers, ArchitectureAndModulationAliases) {
-  EXPECT_EQ(architecture_from_string("mono"),
-            accel::Architecture::kMonolithicCrossLight);
-  EXPECT_EQ(architecture_from_string("elec"),
-            accel::Architecture::kElec2p5D);
-  EXPECT_EQ(architecture_from_string("siph"),
-            accel::Architecture::kSiph2p5D);
-  EXPECT_EQ(architecture_from_string("2.5D-CrossLight-SiPh"),
-            accel::Architecture::kSiph2p5D);
-  EXPECT_FALSE(architecture_from_string("tpu").has_value());
-  EXPECT_EQ(modulation_from_string("ook"), photonics::ModulationFormat::kOok);
-  EXPECT_EQ(modulation_from_string("pam4"),
-            photonics::ModulationFormat::kPam4);
-  EXPECT_FALSE(modulation_from_string("qam64").has_value());
+  using accel::Architecture;
+  using photonics::ModulationFormat;
+  EXPECT_EQ(util::parse_name<Architecture>("mono"),
+            Architecture::kMonolithicCrossLight);
+  EXPECT_EQ(util::parse_name<Architecture>("crosslight"),
+            Architecture::kMonolithicCrossLight);
+  EXPECT_EQ(util::parse_name<Architecture>("CrossLight"),
+            Architecture::kMonolithicCrossLight);
+  EXPECT_EQ(util::parse_name<Architecture>("elec"), Architecture::kElec2p5D);
+  EXPECT_EQ(util::parse_name<Architecture>("2.5D-CrossLight-Elec"),
+            Architecture::kElec2p5D);
+  EXPECT_EQ(util::parse_name<Architecture>("siph"), Architecture::kSiph2p5D);
+  EXPECT_EQ(util::parse_name<Architecture>("2.5D-CrossLight-SiPh"),
+            Architecture::kSiph2p5D);
+  EXPECT_FALSE(util::parse_name<Architecture>("tpu").has_value());
+  EXPECT_FALSE(util::parse_name<Architecture>("").has_value());
+  EXPECT_EQ(util::choices<Architecture>(), "mono, elec, siph");
+  EXPECT_EQ(util::parse_name<ModulationFormat>("ook"), ModulationFormat::kOok);
+  EXPECT_EQ(util::parse_name<ModulationFormat>("OOK"), ModulationFormat::kOok);
+  EXPECT_EQ(util::parse_name<ModulationFormat>("pam4"),
+            ModulationFormat::kPam4);
+  EXPECT_EQ(util::parse_name<ModulationFormat>("PAM-4"),
+            ModulationFormat::kPam4);
+  EXPECT_EQ(util::parse_name<ModulationFormat>("PAM4"),
+            ModulationFormat::kPam4);
+  EXPECT_FALSE(util::parse_name<ModulationFormat>("qam64").has_value());
+  EXPECT_FALSE(util::parse_name<ModulationFormat>("").has_value());
+  EXPECT_EQ(util::choices<ModulationFormat>(), "ook, pam4");
 }
 
 }  // namespace

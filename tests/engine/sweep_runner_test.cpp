@@ -204,26 +204,6 @@ TEST(SweepRunner, RepeatedRunsAreServedFromCache) {
   expect_identical(first, second);
 }
 
-TEST(SweepRunner, ProgressReachesTotalAndIsMonotone) {
-  const auto grid = small_grid();
-  std::vector<std::pair<std::size_t, std::size_t>> calls;
-  SweepOptions options;
-  options.threads = 2;
-  options.progress = [&calls](std::size_t done, std::size_t total) {
-    calls.emplace_back(done, total);
-  };
-  SweepRunner runner(core::default_system_config(), options);
-  const auto results = runner.run(grid);
-  ASSERT_FALSE(calls.empty());
-  std::size_t previous = 0;
-  for (const auto& [done, total] : calls) {
-    EXPECT_EQ(total, results.size());
-    EXPECT_GT(done, previous);
-    previous = done;
-  }
-  EXPECT_EQ(calls.back().first, results.size());
-}
-
 TEST(SweepRunner, ScenarioProgressReportsKeysWallClockAndCacheHits) {
   const auto grid = small_grid();
   SweepOptions options;
@@ -246,6 +226,7 @@ TEST(SweepRunner, ScenarioProgressReportsKeysWallClockAndCacheHits) {
     EXPECT_GE(p.wall_s, 0.0);
     keys.insert(p.key);
   }
+  EXPECT_EQ(calls.back().done, results.size());
   // Every scenario key reported exactly once.
   EXPECT_EQ(keys.size(), results.size());
   for (const auto& r : results) {

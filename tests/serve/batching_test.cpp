@@ -80,11 +80,11 @@ TEST(BatchQueue, RejectsDegenerateConfigs) {
 TEST(BatchPolicy, StringRoundTrip) {
   for (const BatchPolicy p : {BatchPolicy::kNone, BatchPolicy::kFixedSize,
                               BatchPolicy::kDeadline}) {
-    const auto parsed = batch_policy_from_string(to_string(p));
+    const auto parsed = util::parse_name<BatchPolicy>(to_string(p));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, p);
   }
-  EXPECT_FALSE(batch_policy_from_string("bogus").has_value());
+  EXPECT_FALSE(util::parse_name<BatchPolicy>("bogus").has_value());
 }
 
 }  // namespace

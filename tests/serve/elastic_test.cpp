@@ -456,13 +456,44 @@ TEST(ElasticValidation, RejectsInvalidSpecsLoudly) {
   EXPECT_THROW(run(repart, accel::Architecture::kMonolithicCrossLight),
                std::invalid_argument);
 
+  // A value outside the codec's range fails naming the policy, never as
+  // a failed requirement.
+  const std::string out_of_range =
+      " is out of range: durations and fault times must be >= 0, tau and "
+      "the carbon period > 0, the carbon amplitude in [0, 1], a fault "
+      "derate in (0, 1] and chiplet and package ids >= -1";
+  const auto error = [](const ServingSpec& spec) {
+    try {
+      (void)run(spec);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
   ServingSpec bad_carbon = base_spec("LeNet5", 1000.0, 10);
   bad_carbon.elastic.carbon_amplitude = 1.5;
   EXPECT_THROW(run(bad_carbon), std::invalid_argument);
+  EXPECT_EQ(error(bad_carbon),
+            "elastic policy carbon=400:1.5:86400" + out_of_range);
 
   ServingSpec bad_derate = base_spec("LeNet5", 1000.0, 10);
   bad_derate.elastic.faults.push_back({0.1, -1, 0.0, -1});
   EXPECT_THROW(run(bad_derate), std::invalid_argument);
+  EXPECT_EQ(error(bad_derate), "elastic policy " +
+                                   to_string(bad_derate.elastic) +
+                                   out_of_range);
+
+  // simulate() applies the same rule to a config built by hand.
+  ServingConfig bad_tau = make_serving_config(
+      core::default_system_config(), accel::Architecture::kSiph2p5D,
+      base_spec("LeNet5", 1000.0, 10));
+  bad_tau.elastic.ema_tau_s = 0.0;
+  try {
+    (void)simulate(bad_tau);
+    ADD_FAILURE() << "tau=0 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "elastic policy tau=0" + out_of_range);
+  }
 
   ServingSpec bad_chiplet = base_spec("LeNet5", 1000.0, 10);
   bad_chiplet.elastic.faults.push_back({0.1, 100000, 1.0, -1});

@@ -16,63 +16,76 @@ TEST(ServingSpecCodecs, BatchPolicyRoundTripsAndListsChoices) {
   for (const BatchPolicy p :
        {BatchPolicy::kNone, BatchPolicy::kFixedSize, BatchPolicy::kDeadline,
         BatchPolicy::kContinuous}) {
-    const auto back = batch_policy_from_string(to_string(p));
+    const auto back = util::parse_name<BatchPolicy>(to_string(p));
     ASSERT_TRUE(back.has_value()) << to_string(p);
     EXPECT_EQ(*back, p);
     // Every canonical spelling appears in the CLI choice list.
-    EXPECT_NE(std::string(batch_policy_choices()).find(to_string(p)),
+    EXPECT_NE(util::choices<BatchPolicy>().find(to_string(p)),
               std::string::npos);
   }
   // Aliases.
-  EXPECT_EQ(batch_policy_from_string("fifo"), BatchPolicy::kNone);
-  EXPECT_EQ(batch_policy_from_string("fixed"), BatchPolicy::kFixedSize);
-  EXPECT_EQ(batch_policy_from_string("dynamic"), BatchPolicy::kDeadline);
-  EXPECT_EQ(batch_policy_from_string("continuous"),
+  EXPECT_EQ(util::parse_name<BatchPolicy>("fifo"), BatchPolicy::kNone);
+  EXPECT_EQ(util::parse_name<BatchPolicy>("no-batch"), BatchPolicy::kNone);
+  EXPECT_EQ(util::parse_name<BatchPolicy>("fixed"), BatchPolicy::kFixedSize);
+  EXPECT_EQ(util::parse_name<BatchPolicy>("fixed-size"),
+            BatchPolicy::kFixedSize);
+  EXPECT_EQ(util::parse_name<BatchPolicy>("dynamic"), BatchPolicy::kDeadline);
+  EXPECT_EQ(util::parse_name<BatchPolicy>("continuous"),
             BatchPolicy::kContinuous);
-  EXPECT_FALSE(batch_policy_from_string("bogus").has_value());
-  EXPECT_FALSE(batch_policy_from_string("").has_value());
+  EXPECT_FALSE(util::parse_name<BatchPolicy>("bogus").has_value());
+  EXPECT_FALSE(util::parse_name<BatchPolicy>("").has_value());
+  EXPECT_EQ(util::choices<BatchPolicy>(), "none, size, deadline, cont");
 }
 
 TEST(ServingSpecCodecs, PipelineModeRoundTrips) {
   for (const PipelineMode m :
        {PipelineMode::kBatchGranular, PipelineMode::kLayerGranular}) {
-    EXPECT_EQ(pipeline_mode_from_string(to_string(m)), m);
-    EXPECT_NE(std::string(pipeline_mode_choices()).find(to_string(m)),
+    EXPECT_EQ(util::parse_name<PipelineMode>(to_string(m)), m);
+    EXPECT_NE(util::choices<PipelineMode>().find(to_string(m)),
               std::string::npos);
   }
-  EXPECT_EQ(pipeline_mode_from_string("blocked"),
+  EXPECT_EQ(util::parse_name<PipelineMode>("blocked"),
             PipelineMode::kBatchGranular);
-  EXPECT_EQ(pipeline_mode_from_string("pipelined"),
+  EXPECT_EQ(util::parse_name<PipelineMode>("pipelined"),
             PipelineMode::kLayerGranular);
-  EXPECT_FALSE(pipeline_mode_from_string("bogus").has_value());
+  EXPECT_FALSE(util::parse_name<PipelineMode>("bogus").has_value());
+  EXPECT_FALSE(util::parse_name<PipelineMode>("").has_value());
+  EXPECT_EQ(util::choices<PipelineMode>(), "batch, layer");
 }
 
 TEST(ServingSpecCodecs, ArrivalSourceRoundTrips) {
   for (const ArrivalSource s :
        {ArrivalSource::kOpenLoop, ArrivalSource::kClosedLoop}) {
-    EXPECT_EQ(arrival_source_from_string(to_string(s)), s);
-    EXPECT_NE(std::string(arrival_source_choices()).find(to_string(s)),
+    EXPECT_EQ(util::parse_name<ArrivalSource>(to_string(s)), s);
+    EXPECT_NE(util::choices<ArrivalSource>().find(to_string(s)),
               std::string::npos);
   }
-  EXPECT_EQ(arrival_source_from_string("poisson"),
+  EXPECT_EQ(util::parse_name<ArrivalSource>("poisson"),
             ArrivalSource::kOpenLoop);
-  EXPECT_EQ(arrival_source_from_string("closed-loop"),
+  EXPECT_EQ(util::parse_name<ArrivalSource>("closed-loop"),
             ArrivalSource::kClosedLoop);
-  EXPECT_FALSE(arrival_source_from_string("bogus").has_value());
+  EXPECT_FALSE(util::parse_name<ArrivalSource>("bogus").has_value());
+  EXPECT_FALSE(util::parse_name<ArrivalSource>("").has_value());
+  EXPECT_EQ(util::choices<ArrivalSource>(), "open, closed");
 }
 
 TEST(ServingSpecCodecs, AdmissionPolicyRoundTrips) {
   for (const AdmissionPolicy p :
        {AdmissionPolicy::kAdmitAll, AdmissionPolicy::kSlaShed}) {
-    EXPECT_EQ(admission_policy_from_string(to_string(p)), p);
-    EXPECT_NE(std::string(admission_policy_choices()).find(to_string(p)),
+    EXPECT_EQ(util::parse_name<AdmissionPolicy>(to_string(p)), p);
+    EXPECT_NE(util::choices<AdmissionPolicy>().find(to_string(p)),
               std::string::npos);
   }
-  EXPECT_EQ(admission_policy_from_string("admit-all"),
+  // "none" admits everything here but means no batching for BatchPolicy.
+  EXPECT_EQ(util::parse_name<AdmissionPolicy>("none"),
             AdmissionPolicy::kAdmitAll);
-  EXPECT_EQ(admission_policy_from_string("sla-shed"),
+  EXPECT_EQ(util::parse_name<AdmissionPolicy>("admit-all"),
+            AdmissionPolicy::kAdmitAll);
+  EXPECT_EQ(util::parse_name<AdmissionPolicy>("sla-shed"),
             AdmissionPolicy::kSlaShed);
-  EXPECT_FALSE(admission_policy_from_string("bogus").has_value());
+  EXPECT_FALSE(util::parse_name<AdmissionPolicy>("bogus").has_value());
+  EXPECT_FALSE(util::parse_name<AdmissionPolicy>("").has_value());
+  EXPECT_EQ(util::choices<AdmissionPolicy>(), "all, shed");
 }
 
 TEST(RequestShapeDraw, ZeroSpreadReturnsExactMeansWithoutConsumingRng) {
@@ -227,6 +240,47 @@ TEST(ServingEntryChecks, NameTheFieldTheyRefuse) {
             "tokens on TinyGPT, which needs 0.5 MiB");
   small_cache.kv_cache_mb = 0.5;  // exactly one request
   EXPECT_EQ(entry_error(small_cache), "");
+}
+
+// Once every user of a closed loop waits on a queued request, a size
+// batch larger than the user pool never fills: the run would stall, so it
+// is refused at entry. The bound is the batch the run uses, after the KV
+// cap.
+TEST(ServingEntryChecks, RefuseASizeBatchTheClosedLoopCannotFill) {
+  ServingSpec closed;
+  closed.tenant_mix = "LeNet5";
+  closed.source = ArrivalSource::kClosedLoop;
+  closed.policy = BatchPolicy::kFixedSize;
+  closed.users = 4;
+  closed.requests = 100;
+  EXPECT_EQ(entry_error(closed),
+            "closed loop of 4 users on LeNet5 can never fill its size batch "
+            "of 8 (100 requests): use at least 8 users, or another policy");
+  const auto completed = [](const ServingSpec& spec) {
+    return simulate(make_serving_config(core::default_system_config(),
+                                        accel::Architecture::kSiph2p5D,
+                                        spec))
+        .metrics.completed;
+  };
+  // A budget the users issue without waiting flushes when it runs out.
+  closed.requests = 4;
+  EXPECT_EQ(completed(closed), 4u);
+  // Nine users fill batches of eight.
+  closed.users = 9;
+  closed.requests = 100;
+  EXPECT_EQ(completed(closed), 100u);
+  // The KV budget caps TinyGPT's batch to the 4 slots its 4 users fill.
+  ServingSpec capped = closed;
+  capped.tenant_mix = "TinyGPT";
+  capped.users = 4;
+  capped.prefill_tokens = 32;
+  capped.decode_tokens = 8;
+  capped.kv_cache_mb = 1.25;
+  EXPECT_EQ(completed(capped), 100u);
+  capped.users = 3;
+  EXPECT_EQ(entry_error(capped),
+            "closed loop of 3 users on TinyGPT can never fill its size batch "
+            "of 4 (100 requests): use at least 4 users, or another policy");
 }
 
 }  // namespace

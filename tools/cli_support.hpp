@@ -23,6 +23,7 @@
 #include "core/fidelity.hpp"
 #include "dnn/registry.hpp"
 #include "dnn/zoo.hpp"
+#include "util/names.hpp"
 #include "util/strings.hpp"
 
 namespace optiplet::cli {
@@ -40,19 +41,12 @@ using util::split;
 
 enum class LogLevel { kQuiet = 0, kInfo = 1, kDebug = 2 };
 
-inline std::optional<LogLevel> log_level_from_string(
-    const std::string& text) {
-  if (text == "quiet") {
-    return LogLevel::kQuiet;
-  }
-  if (text == "info") {
-    return LogLevel::kInfo;
-  }
-  if (text == "debug") {
-    return LogLevel::kDebug;
-  }
-  return std::nullopt;
-}
+inline constexpr util::NameRow<LogLevel> kLogLevelNames[] = {
+    {LogLevel::kQuiet, "quiet", {"quiet"}},
+    {LogLevel::kInfo, "info", {"info"}},
+    {LogLevel::kDebug, "debug", {"debug"}},
+};
+constexpr const auto& names(LogLevel) { return kLogLevelNames; }
 
 /// The one printer every tool's ad-hoc printf routes through. Primary
 /// results go to stdout unconditionally; narrative and detail go to
@@ -321,17 +315,27 @@ class OptionSet {
 // OptionSet::Parse closure over the destination; error strings carry the
 // valid-choice listings the tools used to hand-roll.
 
-/// Comma list of named choices appended through `from_string`.
-template <typename T, typename F>
-OptionSet::Parse append_choices(std::vector<T>& out, F from_string,
-                                std::string what, std::string valid) {
-  return [&out, from_string, what = std::move(what),
-          valid = std::move(valid)](
+/// The error of a named-choice flag: "unknown <what>: <text> (valid:
+/// <the table's choices>)". `also` names a spelling the caller accepts
+/// before the table (optiplet_sweep's `--archs all`).
+template <typename E>
+std::string unknown_choice(const std::string& what, const std::string& text,
+                           const std::string& also = {}) {
+  return "unknown " + what + ": " + text + " (valid: " + util::choices<E>() +
+         (also.empty() ? "" : ", " + also) + ")";
+}
+
+/// Comma list of named choices of an enum with a name table
+/// (util/names.hpp), appended.
+template <typename E>
+OptionSet::Parse append_choices(std::vector<E>& out, std::string what,
+                                std::string also = {}) {
+  return [&out, what = std::move(what), also = std::move(also)](
              const std::string& text) -> std::optional<std::string> {
     for (const auto& name : split(text, ',')) {
-      const auto value = from_string(name);
+      const auto value = util::parse_name<E>(name);
       if (!value) {
-        return "unknown " + what + ": " + name + " (valid: " + valid + ")";
+        return unknown_choice<E>(what, name, also);
       }
       out.push_back(*value);
     }
@@ -339,16 +343,14 @@ OptionSet::Parse append_choices(std::vector<T>& out, F from_string,
   };
 }
 
-/// One named choice stored through `from_string`.
-template <typename T, typename F>
-OptionSet::Parse store_choice(T& out, F from_string, std::string what,
-                              std::string valid) {
-  return [&out, from_string, what = std::move(what),
-          valid = std::move(valid)](
+/// One named choice of an enum with a name table, stored.
+template <typename E>
+OptionSet::Parse store_choice(E& out, std::string what) {
+  return [&out, what = std::move(what)](
              const std::string& text) -> std::optional<std::string> {
-    const auto value = from_string(text);
+    const auto value = util::parse_name<E>(text);
     if (!value) {
-      return "unknown " + what + ": " + text + " (valid: " + valid + ")";
+      return unknown_choice<E>(what, text);
     }
     out = *value;
     return std::nullopt;
@@ -452,9 +454,9 @@ inline OptionSet::Parse append_fidelities(
     for (const auto& name : core::split_fidelity_list(text)) {
       const auto spec = core::fidelity_from_string(name);
       if (!spec) {
-        return "unknown fidelity: " + name +
-               " (valid: analytical, cycle, "
-               "sampled[:windows=W,layers=L,seed=S,conf=C])";
+        return "unknown fidelity: " + name + " (valid: " +
+               util::choices<core::Fidelity>() +
+               "[:windows=W,layers=L,seed=S,conf=C])";
       }
       out.push_back(*spec);
     }
@@ -464,8 +466,9 @@ inline OptionSet::Parse append_fidelities(
 
 /// Shared --fidelity help text (the axis is spelled identically in
 /// optiplet_sweep / optiplet_serve / optiplet_cluster).
-inline const char* fidelity_help() {
-  return "comma list of analytical|cycle|sampled (default\n"
+inline std::string fidelity_help() {
+  return "comma list of " + util::choices<core::Fidelity>("|") +
+         " (default\n"
          "analytical). \"cycle\" drives the SiPh interposer\n"
          "cycle-accurately (SWMR/SWSR arbitration + in-cycle\n"
          "ReSiPI epochs); \"sampled\" cycle-simulates a seeded\n"
@@ -481,14 +484,14 @@ inline const char* fidelity_help() {
 inline OptionSet& add_log_flags(OptionSet& options, Logger& log) {
   options
       .add("--log-level", "LEVEL",
-           "quiet|info|debug (default info): quiet keeps only\n"
-           "the result output, debug adds per-scenario timing\n"
-           "and cache detail on stderr",
+           util::choices<LogLevel>("|") +
+               " (default info): quiet keeps only\n"
+               "the result output, debug adds per-scenario timing\n"
+               "and cache detail on stderr",
            [&log](const std::string& text) -> std::optional<std::string> {
-             const auto level = log_level_from_string(text);
+             const auto level = util::parse_name<LogLevel>(text);
              if (!level) {
-               return "unknown log level: " + text +
-                      " (valid: quiet, info, debug)";
+               return unknown_choice<LogLevel>("log level", text);
              }
              log.set_level(*level);
              return std::nullopt;

@@ -53,10 +53,10 @@ p<i>. prefix.)");
            cli::append(flags.grid.package_counts, "package count",
                        cli::Range::kPositive))
       .add("--balancers", "LIST",
-           "comma list of rr|least|locality (default locality)",
+           "comma list of " + util::choices<cluster::BalancerPolicy>("|") +
+               " (default locality)",
            cli::append_choices(flags.grid.balancer_policies,
-                               cluster::balancer_policy_from_string,
-                               "balancer policy", "rr, least, locality"))
+                               "balancer policy"))
       .add("--replication", "LIST",
            "comma list of replicas per tenant, each clamped to\n"
            "the package count (default 1)",

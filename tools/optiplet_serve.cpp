@@ -55,12 +55,11 @@ Reports throughput, goodput, p50/p95/p99 latency, SLA violations, shed
 counts, utilization, and energy per request.)");
   cli::add_serving_flags(options_set, flags)
       .add("--pipelines", "LIST",
-           "comma list of batch|layer execution granularities\n"
-           "(default batch; layer = SET-style inter-layer\n"
-           "pipelining with scarce-group handoff)",
-           cli::append_choices(flags.grid.pipeline_modes,
-                               serve::pipeline_mode_from_string,
-                               "pipeline mode", serve::pipeline_mode_choices()))
+           "comma list of " + util::choices<serve::PipelineMode>("|") +
+               " execution granularities\n"
+               "(default batch; layer = SET-style inter-layer\n"
+               "pipelining with scarce-group handoff)",
+           cli::append_choices(flags.grid.pipeline_modes, "pipeline mode"))
       .add("--think", "S",
            "closed-loop mean exponential think time [s]\n"
            "(default 1e-2)",

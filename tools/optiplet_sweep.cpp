@@ -87,19 +87,18 @@ divisible by gateways; SiPh link budget that cannot close) are skipped.)");
              return cli::store_model_list(grid.models)(value);
            })
       .add("--archs", "NAMES",
-           "comma list of mono|elec|siph, or \"all\" (default siph)",
+           "comma list of " + util::choices<accel::Architecture>("|") +
+               ", or \"all\" (default siph)",
            [&grid](const std::string& value) -> std::optional<std::string> {
              if (value == "all") {
-               grid.architectures = {
-                   accel::Architecture::kMonolithicCrossLight,
-                   accel::Architecture::kElec2p5D,
-                   accel::Architecture::kSiph2p5D};
+               grid.architectures.clear();
+               for (const auto& row : accel::kArchitectureNames) {
+                 grid.architectures.push_back(row.value);
+               }
                return std::nullopt;
              }
-             return cli::append_choices(grid.architectures,
-                                        engine::architecture_from_string,
-                                        "architecture",
-                                        "mono, elec, siph, all")(value);
+             return cli::append_choices(grid.architectures, "architecture",
+                                        "all")(value);
            })
       .add("--batch-sizes", "LIST", "comma list of batch sizes",
            cli::append(grid.batch_sizes, "batch size",
@@ -110,10 +109,9 @@ divisible by gateways; SiPh link budget that cannot close) are skipped.)");
       .add("--gateways", "LIST", "comma list of gateways per chiplet",
            cli::append(grid.gateways_per_chiplet, "gateway count",
                        cli::Range::kPositive))
-      .add("--modulations", "LIST", "comma list of ook|pam4",
-           cli::append_choices(grid.modulations,
-                               engine::modulation_from_string, "modulation",
-                               "ook, pam4"))
+      .add("--modulations", "LIST",
+           "comma list of " + util::choices<photonics::ModulationFormat>("|"),
+           cli::append_choices(grid.modulations, "modulation"))
       .add("--fidelity", "LIST", cli::fidelity_help(),
            cli::append_fidelities(grid.fidelities))
       .add("--set", "KEY=V1,V2,...",

@@ -45,9 +45,9 @@ seeded non-homogeneous Poisson processes (generated by thinning):
   bursts    Poisson floor plus burst episodes at base*multiplier
   mmpp      two-state on/off Markov-modulated Poisson process)");
   options_set
-      .add("--profile", "NAME", "diurnal|bursts|mmpp (default diurnal)",
-           cli::store_choice(spec.profile, serve::trace_profile_from_string,
-                             "profile", "diurnal, bursts, mmpp"))
+      .add("--profile", "NAME",
+           util::choices<serve::TraceProfile>("|") + " (default diurnal)",
+           cli::store_choice(spec.profile, "profile"))
       .add("--rate", "R", "base rate [requests/s] (default 1000)",
            cli::store(spec.base_rps, "value for --rate"))
       .add("--duration", "S", "trace length [s] (default 1)",

@@ -45,9 +45,9 @@ inline engine::SweepOptions sweep_options(const Logger& log,
       }
     };
   } else if (log.info_enabled()) {
-    options.progress = [](std::size_t done, std::size_t total) {
-      std::fprintf(stderr, "\r%zu/%zu scenarios", done, total);
-      if (done == total) {
+    options.scenario_progress = [](const engine::ScenarioProgress& p) {
+      std::fprintf(stderr, "\r%zu/%zu scenarios", p.done, p.total);
+      if (p.done == p.total) {
         std::fputc('\n', stderr);
       }
     };
@@ -154,30 +154,27 @@ inline OptionSet& add_serving_flags(OptionSet& options, ServingFlags& flags) {
            "open-loop only)",
            append(grid.arrival_rates_rps, "arrival rate", Range::kPositive))
       .add("--policies", "LIST",
-           "comma list of none|size|deadline|cont (default none;\n"
-           "cont = continuous batching at token boundaries,\n"
-           "transformer tenants only)",
-           append_choices(grid.batch_policies, serve::batch_policy_from_string,
-                          "batch policy", serve::batch_policy_choices()))
+           "comma list of " + util::choices<serve::BatchPolicy>("|") +
+               " (default none;\n"
+               "cont = continuous batching at token boundaries,\n"
+               "transformer tenants only)",
+           append_choices(grid.batch_policies, "batch policy"))
       .add("--sources", "LIST",
-           "comma list of open|closed arrival sources\n"
-           "(default open; closed = N users per tenant issuing\n"
-           "one request each, thinking between responses)",
-           append_choices(grid.arrival_sources,
-                          serve::arrival_source_from_string, "arrival source",
-                          serve::arrival_source_choices()))
+           "comma list of " + util::choices<serve::ArrivalSource>("|") +
+               " arrival sources\n"
+               "(default open; closed = N users per tenant issuing\n"
+               "one request each, thinking between responses)",
+           append_choices(grid.arrival_sources, "arrival source"))
       .add("--users", "LIST",
            "comma list of closed-loop users per tenant\n"
            "(default 16; implies --sources closed when\n"
            "--sources is not given)",
            append(grid.user_counts, "user count", Range::kPositive))
       .add("--admission", "LIST",
-           "comma list of all|shed (default all; shed rejects\n"
-           "arrivals whose predicted completion misses the SLA)",
-           append_choices(grid.admission_policies,
-                          serve::admission_policy_from_string,
-                          "admission policy",
-                          serve::admission_policy_choices()))
+           "comma list of " + util::choices<serve::AdmissionPolicy>("|") +
+               " (default all; shed rejects\n"
+               "arrivals whose predicted completion misses the SLA)",
+           append_choices(grid.admission_policies, "admission policy"))
       .add("--prefill-tokens", "LIST",
            "comma list of mean prompt lengths [tokens]; any\n"
            "positive value switches transformer tenants to\n"
@@ -232,9 +229,9 @@ inline OptionSet& add_serving_flags(OptionSet& options, ServingFlags& flags) {
            "replay a CSV arrival trace (arrival_s[,tenant])\n"
            "instead of Poisson arrivals (see optiplet_tracegen)",
            store_string(defaults.trace_path))
-      .add("--arch", "NAME", "mono|elec|siph (default siph)",
-           store_choice(flags.arch, engine::architecture_from_string,
-                        "architecture", "mono, elec, siph"))
+      .add("--arch", "NAME",
+           util::choices<accel::Architecture>("|") + " (default siph)",
+           store_choice(flags.arch, "architecture"))
       .add("--fidelity", "LIST", fidelity_help(),
            append_fidelities(grid.fidelities))
       .add("--threads", "N",
