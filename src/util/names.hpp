@@ -22,8 +22,8 @@ struct NameRow {
   E value;
   const char* name;
   /// Accepted spellings, first the one choice lists show; unused slots
-  /// stay empty.
-  std::array<std::string_view, 3> spellings;
+  /// stay null.
+  std::array<const char*, 3> spellings;
 };
 
 /// The `to_string` name of `value`; "?" for a value outside the table.
@@ -41,8 +41,8 @@ template <typename E>
 template <typename E>
 [[nodiscard]] constexpr std::optional<E> parse_name(std::string_view text) {
   for (const NameRow<E>& row : names(E{})) {
-    for (const std::string_view spelling : row.spellings) {
-      if (!text.empty() && spelling == text) {
+    for (const char* spelling : row.spellings) {
+      if (spelling != nullptr && text == spelling) {
         return row.value;
       }
     }
