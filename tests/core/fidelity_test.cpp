@@ -162,8 +162,8 @@ TEST(SampledLayerMask, DegeneratesAtTheEndpoints) {
 
 template <typename Enum>
 void expect_round_trip(
-    std::initializer_list<std::pair<Enum, std::string_view>> names) {
-  for (const auto& [mode, name] : names) {
+    std::initializer_list<std::pair<Enum, std::string_view>> modes) {
+  for (const auto& [mode, name] : modes) {
     EXPECT_EQ(to_string(mode), name);
     const auto parsed = util::parse_name<Enum>(to_string(mode));
     ASSERT_TRUE(parsed.has_value()) << to_string(mode);
